@@ -63,7 +63,8 @@ constexpr size_t kSections = 512;
 std::string CorpusXml(size_t sections) {
   std::string xml = "<corpus>";
   for (size_t i = 0; i < sections; ++i) {
-    const std::string tag = "s" + std::to_string(i);
+    std::string tag = "s";
+    tag += std::to_string(i);
     xml += "<" + tag + "><item><v>seed</v></item></" + tag + ">";
   }
   xml += "</corpus>";
@@ -123,9 +124,13 @@ ApplyPoint MeasureApplyStream(size_t workers, bool conflicting,
         const uint64_t section = conflicting ? 0 : i % kSections;
         UpdateRequest request;
         request.op = UpdateRequest::Op::kSetValue;
-        request.xpath =
-            "/s" + std::to_string(section) + "/item/v/text()";
-        request.value = "v" + std::to_string(i++);
+        char buf[64];
+        std::snprintf(buf, sizeof(buf), "/s%llu/item/v/text()",
+                      static_cast<unsigned long long>(section));
+        request.xpath = buf;
+        std::snprintf(buf, sizeof(buf), "v%llu",
+                      static_cast<unsigned long long>(i++));
+        request.value = buf;
         std::vector<UpdateRequest> txn;
         txn.push_back(std::move(request));
         inflight.push_back((*st)->SubmitTransaction(txn));
