@@ -402,6 +402,7 @@ bool ShardedService::HandleRequest(const std::vector<std::string>& request,
         total.largest_batch = std::max(total.largest_batch, s.largest_batch);
         total.views_published += s.views_published;
         total.checkpoints += s.checkpoints;
+        total.checkpoint_failures += s.checkpoint_failures;
       }
       *response = {"ok", "docs=" + std::to_string(docs_.size())};
     }
@@ -415,6 +416,8 @@ bool ShardedService::HandleRequest(const std::vector<std::string>& request,
     response->push_back("views_published=" +
                         std::to_string(total.views_published));
     response->push_back("checkpoints=" + std::to_string(total.checkpoints));
+    response->push_back("checkpoint_failures=" +
+                        std::to_string(total.checkpoint_failures));
     for (const auto& [name, value] :
          obs::GlobalMetrics().TextFields(mode == "timing")) {
       response->push_back(name + "=" + value);

@@ -34,6 +34,7 @@ ConcurrentStore::ConcurrentStore(std::unique_ptr<store::DocumentStore> store,
   metrics_.views_rebuilt = reg.GetCounter("cstore.views_rebuilt");
   metrics_.crosschecks = reg.GetCounter("cstore.crosschecks");
   metrics_.crosscheck_failures = reg.GetCounter("cstore.crosscheck_failures");
+  metrics_.checkpoint_failures = reg.GetCounter("cstore.checkpoint_failures");
   metrics_.parallel_batches = reg.GetCounter("cstore.parallel_batches");
   metrics_.txns_fast = reg.GetCounter("cstore.prepare_fast");
   metrics_.txns_conflicted = reg.GetCounter("cstore.prepare_conflicted");
@@ -387,7 +388,11 @@ void ConcurrentStore::WriterLoop() {
         continue;
       }
       const uint64_t generation_before = store_->stats().sequence;
-      (void)store_->MaybeCheckpoint();
+      // A failed checkpoint leaves the current generation serving (the
+      // next due batch retries); a failure that poisoned the store shows
+      // up on the next commit. Either way it is counted, not dropped.
+      const Status checkpointed = store_->MaybeCheckpoint();
+      if (!checkpointed.ok()) metrics_.checkpoint_failures->Add(1);
       if (store_->stats().sequence != generation_before) {
         if (options_.commit_hook != nullptr) {
           options_.commit_hook->OnCommit(store_.get());
@@ -396,6 +401,7 @@ void ConcurrentStore::WriterLoop() {
       }
       std::lock_guard<std::mutex> lock(stats_mu_);
       stats_.checkpoints = store_->stats().checkpoints;
+      if (!checkpointed.ok()) ++stats_.checkpoint_failures;
     }
   }
 }
@@ -609,10 +615,10 @@ Status ConcurrentStore::PublishRebuild() {
   XMLUP_ASSIGN_OR_RETURN(
       std::unique_ptr<ReadView> view,
       ReadView::CloneFromLive(store_->document(),
-                              options_.store.scheme_options));
+                              options_.store.scheme_options, last_epoch_ + 1));
+  ++last_epoch_;
   view->usn_ = usn_;
   view->lineage_ = lineage_;
-  view->set_epoch(++last_epoch_);
   published_usn_ = usn_;
   InstallView(MakeRecyclable(std::move(view)), /*via_delta=*/false);
   return Status::Ok();

@@ -104,6 +104,7 @@ struct ConcurrentStoreStats {
   uint64_t crosschecks = 0;      ///< Delta-vs-snapshot audits run.
   uint64_t crosscheck_failures = 0;  ///< Audits that found divergence.
   uint64_t checkpoints = 0;
+  uint64_t checkpoint_failures = 0;  ///< Due checkpoints that failed.
   uint64_t current_epoch = 0;
   // Parallel-prepare stage (zero everywhere when apply_workers == 1).
   uint64_t parallel_batches = 0;   ///< Batches that ran the prepare stage.
@@ -294,6 +295,7 @@ class ConcurrentStore : public ViewProvider {
     obs::Counter* views_rebuilt = nullptr;
     obs::Counter* crosschecks = nullptr;
     obs::Counter* crosscheck_failures = nullptr;
+    obs::Counter* checkpoint_failures = nullptr;
     obs::Counter* parallel_batches = nullptr;
     obs::Counter* txns_fast = nullptr;
     obs::Counter* txns_conflicted = nullptr;

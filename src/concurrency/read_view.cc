@@ -38,13 +38,14 @@ Result<std::shared_ptr<const ReadView>> ReadView::FromSnapshot(
 }
 
 Result<std::unique_ptr<ReadView>> ReadView::CloneFromLive(
-    const core::LabeledDocument& live, const labels::SchemeOptions& options) {
+    const core::LabeledDocument& live, const labels::SchemeOptions& options,
+    uint64_t epoch) {
   XMLUP_ASSIGN_OR_RETURN(
       std::unique_ptr<labels::LabelingScheme> scheme,
       labels::CreateScheme(live.scheme().traits().name, options));
   core::LabeledDocument doc = live.CloneForView(scheme.get());
   std::unique_ptr<ReadView> view(
-      new ReadView(std::move(scheme), std::move(doc), 0));
+      new ReadView(std::move(scheme), std::move(doc), epoch));
   view->Prewarm();
   return view;
 }

@@ -35,11 +35,13 @@ namespace xmlup::concurrency {
 /// last pin drops.
 ///
 /// Construction paths:
-///   * CloneFromLive — O(document) deep copy of the writer's document,
+///   * CloneFromLive — O(document) deep copy of a live document,
 ///     preserving the node arena exactly. The write pipeline's base case
-///     and fallback; clones stay delta-applicable.
+///     and fallback (clones stay delta-applicable), and how replicas
+///     publish after each applied message.
 ///   * FromSnapshot — round-trips a SaveSnapshot image (compacted arena).
-///     Used by replicas and by the pipeline's differential cross-check.
+///     Used by the pipeline's differential cross-check and its
+///     force_snapshot_views twin.
 ///   * ApplyDelta (pipeline-private) — advances a retired clone to the
 ///     latest state by replaying captured DeltaOps: O(delta) instead of
 ///     O(document), the publication fast path.
@@ -53,11 +55,13 @@ class ReadView {
       const labels::SchemeOptions& options = {});
 
   /// Deep-copies `live` (arena preserved — future delta inserts allocate
-  /// the same NodeIds as the writer) with a private scheme instance, and
-  /// prewarms all read caches. Returned mutable so the write pipeline can
-  /// stamp and later delta-advance it; it is frozen by publication.
+  /// the same NodeIds as the writer) with a private scheme instance,
+  /// stamps it with `epoch`, and prewarms all read caches. Returned
+  /// mutable so the write pipeline can later delta-advance it; it is
+  /// frozen by publication.
   static common::Result<std::unique_ptr<ReadView>> CloneFromLive(
-      const core::LabeledDocument& live, const labels::SchemeOptions& options);
+      const core::LabeledDocument& live, const labels::SchemeOptions& options,
+      uint64_t epoch = 0);
 
   const core::LabeledDocument& document() const { return *doc_; }
 

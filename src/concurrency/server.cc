@@ -344,6 +344,8 @@ bool Server::HandleRequest(const std::vector<std::string>& request,
       response->push_back("views_published=" +
                           std::to_string(stats.views_published));
       response->push_back("checkpoints=" + std::to_string(stats.checkpoints));
+      response->push_back("checkpoint_failures=" +
+                          std::to_string(stats.checkpoint_failures));
       response->push_back("epoch=" + std::to_string(stats.current_epoch));
     }
     // Registry fields ride behind the legacy pipeline counters so existing

@@ -17,12 +17,16 @@ Result<LabelIndex> LabelIndex::Build(const LabeledDocument* doc) {
 
 Status LabelIndex::Refresh() {
   entries_ = doc_->tree().PreorderNodes();
-  // Bulk sort over the document's cached memcmp keys — no virtual Compare
-  // on the hot path. (Preorder already is document order, so for a
-  // correct scheme this is a validated no-op pass.)
-  std::sort(entries_.begin(), entries_.end(), [&](NodeId a, NodeId b) {
+  // Over the document's cached memcmp keys — no virtual Compare on the hot
+  // path. Preorder already is label order for a correct scheme, so one
+  // linear is_sorted pass usually finishes the job; only a document whose
+  // labels break document order pays for the sort.
+  auto by_key = [&](NodeId a, NodeId b) {
     return doc_->order_key(a) < doc_->order_key(b);
-  });
+  };
+  if (!std::is_sorted(entries_.begin(), entries_.end(), by_key)) {
+    std::stable_sort(entries_.begin(), entries_.end(), by_key);
+  }
   return Status::Ok();
 }
 

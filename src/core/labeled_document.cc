@@ -330,24 +330,27 @@ Status LabeledDocument::VerifyOrderAndUniqueness() const {
       return Status::Internal("node " + std::to_string(n) + " has no label");
     }
   }
-  std::vector<NodeId> sorted = order;
-  std::stable_sort(sorted.begin(), sorted.end(), [&](NodeId a, NodeId b) {
-    return scheme_->Compare(labels_[a], labels_[b]) < 0;
-  });
-  for (size_t i = 0; i < order.size(); ++i) {
-    if (sorted[i] != order[i]) {
+  // Labels must increase strictly along preorder. For a transitive
+  // Compare, n-1 adjacent comparisons accept exactly what sorting every
+  // node by label and matching the result against preorder accepts.
+  // Compare stays the authority (not the order-key cache): this is the
+  // check that exposes schemes whose assignments break their own order.
+  for (size_t i = 1; i < order.size(); ++i) {
+    const NodeId prev = order[i - 1];
+    const NodeId node = order[i];
+    const int cmp = scheme_->Compare(labels_[prev], labels_[node]);
+    if (cmp == 0) {
       std::ostringstream os;
-      os << "label order diverges from document order at position " << i
-         << ": expected node " << order[i] << " ("
-         << scheme_->Render(labels_[order[i]]) << "), found node "
-         << sorted[i] << " (" << scheme_->Render(labels_[sorted[i]]) << ")";
+      os << "duplicate label " << scheme_->Render(labels_[node])
+         << " on nodes " << prev << " and " << node;
       return Status::Internal(os.str());
     }
-    if (i > 0 &&
-        scheme_->Compare(labels_[sorted[i - 1]], labels_[sorted[i]]) == 0) {
+    if (cmp > 0) {
       std::ostringstream os;
-      os << "duplicate label " << scheme_->Render(labels_[sorted[i]])
-         << " on nodes " << sorted[i - 1] << " and " << sorted[i];
+      os << "label order diverges from document order at position " << i
+         << ": node " << node << " (" << scheme_->Render(labels_[node])
+         << ") sorts before its preorder predecessor, node " << prev << " ("
+         << scheme_->Render(labels_[prev]) << ")";
       return Status::Internal(os.str());
     }
   }

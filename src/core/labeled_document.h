@@ -95,7 +95,7 @@ class LabeledDocument {
   LabeledDocument CloneForView(const labels::LabelingScheme* scheme) const;
 
   /// Eagerly builds the order-key cache and the query index so the first
-  /// reader of a freshly published view never pays the O(n log n) build.
+  /// reader of a freshly published view never pays for building them.
   common::Status PrewarmCaches() const;
 
   const xml::Tree& tree() const { return tree_; }
@@ -158,8 +158,10 @@ class LabeledDocument {
 
   // --- Verification (used by tests and the evaluation probes) -----------
 
-  /// Checks that sorting live nodes by label reproduces document order and
-  /// that labels are unique. Returns the first violation found.
+  /// Checks that labels increase strictly in document order (so sorting
+  /// live nodes by label reproduces preorder, and labels are unique): one
+  /// preorder pass comparing adjacent labels through the scheme. Returns
+  /// the first violation found.
   common::Status VerifyOrderAndUniqueness() const;
 
   /// Checks the label-only predicates the scheme claims to support

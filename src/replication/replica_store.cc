@@ -112,8 +112,18 @@ Status ReplicaStore::WriteFileAtomic(const std::string& name,
   return fs_->SyncDir(dir_);
 }
 
-Status ReplicaStore::CommitGeneration(uint64_t generation,
-                                      std::string_view snapshot_bytes,
+Result<ReplicaStore::LoadedImage> ReplicaStore::LoadImage(
+    std::string_view snapshot_bytes) const {
+  LoadedImage image;
+  XMLUP_ASSIGN_OR_RETURN(
+      core::LabeledDocument doc,
+      core::LoadSnapshot(snapshot_bytes, &image.scheme,
+                         options_.scheme_options));
+  image.doc = std::make_unique<core::LabeledDocument>(std::move(doc));
+  return image;
+}
+
+Status ReplicaStore::CommitGeneration(uint64_t generation, LoadedImage image,
                                       uint64_t previous_generation) {
   // Fresh journal before CURRENT: after the commit rename below is
   // durable (its SyncDir also covers this creation), the directory is a
@@ -137,16 +147,8 @@ Status ReplicaStore::CommitGeneration(uint64_t generation,
         Join(dir_, store::SnapshotFileName(previous_generation)));
   }
 
-  // Reload from the image just written: snapshot restore assigns arena
-  // ids in document order, which is exactly the compaction the primary's
-  // checkpoint applied — subsequent journal records reference ids in that
-  // space.
-  std::unique_ptr<labels::LabelingScheme> scheme;
-  XMLUP_ASSIGN_OR_RETURN(
-      core::LabeledDocument doc,
-      core::LoadSnapshot(snapshot_bytes, &scheme, options_.scheme_options));
-  doc_ = std::make_unique<core::LabeledDocument>(std::move(doc));
-  scheme_ = std::move(scheme);  // after doc_: the old doc referenced it
+  doc_ = std::move(image.doc);
+  scheme_ = std::move(image.scheme);  // after doc_: the old doc referenced it
   scheme_name_ = scheme_->traits().name;
   journal_ = std::move(journal);
   position_ = {generation, store::kJournalHeaderSize, 0};
@@ -157,17 +159,12 @@ Status ReplicaStore::InstallSnapshot(uint64_t generation,
                                      std::string_view snapshot_bytes) {
   XMLUP_RETURN_NOT_OK(broken_);
   // Validate before touching disk: a corrupt image must not replace a
-  // working generation.
-  {
-    std::unique_ptr<labels::LabelingScheme> scheme;
-    XMLUP_RETURN_NOT_OK(
-        core::LoadSnapshot(snapshot_bytes, &scheme, options_.scheme_options)
-            .status());
-  }
+  // working generation. The validated document is the one adopted.
+  XMLUP_ASSIGN_OR_RETURN(LoadedImage image, LoadImage(snapshot_bytes));
   Status installed = [&] {
     XMLUP_RETURN_NOT_OK(WriteFileAtomic(store::SnapshotFileName(generation),
                                         snapshot_bytes));
-    return CommitGeneration(generation, snapshot_bytes,
+    return CommitGeneration(generation, std::move(image),
                             position_.generation);
   }();
   if (!installed.ok()) broken_ = installed;
@@ -228,9 +225,14 @@ Status ReplicaStore::Roll(uint64_t generation) {
   // bit-identical to the snapshot the primary wrote.
   const std::string snapshot_bytes = core::SaveSnapshot(*doc_);
   Status rolled = [&] {
+    // Reload from the image: snapshot restore assigns arena ids in
+    // document order, which is exactly the compaction the primary's
+    // checkpoint applied — subsequent journal records reference ids in
+    // that space.
+    XMLUP_ASSIGN_OR_RETURN(LoadedImage image, LoadImage(snapshot_bytes));
     XMLUP_RETURN_NOT_OK(WriteFileAtomic(store::SnapshotFileName(generation),
                                         snapshot_bytes));
-    return CommitGeneration(generation, snapshot_bytes,
+    return CommitGeneration(generation, std::move(image),
                             position_.generation);
   }();
   if (!rolled.ok()) broken_ = rolled;
@@ -250,8 +252,13 @@ Result<std::shared_ptr<const concurrency::ReadView>> ReplicaStore::BuildView(
   if (doc_ == nullptr) {
     return Status::Internal("no document to build a view from");
   }
-  return concurrency::ReadView::FromSnapshot(core::SaveSnapshot(*doc_), epoch,
-                                             options_.scheme_options);
+  // The primary's own rebuild path: a deep copy of the live document, not
+  // a SaveSnapshot + load round trip.
+  XMLUP_ASSIGN_OR_RETURN(
+      std::unique_ptr<concurrency::ReadView> view,
+      concurrency::ReadView::CloneFromLive(*doc_, options_.scheme_options,
+                                           epoch));
+  return std::shared_ptr<const concurrency::ReadView>(std::move(view));
 }
 
 }  // namespace xmlup::replication

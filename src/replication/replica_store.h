@@ -62,7 +62,8 @@ class ReplicaStore {
   /// Installs a full snapshot image as generation `generation`: the
   /// catch-up path. Validates the image by loading it BEFORE touching
   /// disk, then writes snapshot + fresh journal + CURRENT (atomic rename,
-  /// directory syncs) and deletes the previous generation's files.
+  /// directory syncs), deletes the previous generation's files, and
+  /// adopts the document it validated (the image is loaded once).
   common::Status InstallSnapshot(uint64_t generation,
                                  std::string_view snapshot_bytes);
 
@@ -88,8 +89,10 @@ class ReplicaStore {
   /// markers, mirroring the primary's group-commit barrier.
   common::Status Sync();
 
-  /// Builds an immutable ReadView of the current document (replica
-  /// publication path). Requires has_document().
+  /// Builds an immutable ReadView of the current document stamped with
+  /// `epoch` (replica publication path): a ReadView::CloneFromLive deep
+  /// copy, the same rebuild the primary's pipeline publishes. Requires
+  /// has_document().
   common::Result<std::shared_ptr<const concurrency::ReadView>> BuildView(
       uint64_t epoch) const;
 
@@ -97,13 +100,19 @@ class ReplicaStore {
   ReplicaStore(std::string dir, store::FileSystem* fs,
                ReplicaStoreOptions options);
 
+  /// A snapshot image loaded (and so order-verified) into memory.
+  struct LoadedImage {
+    std::unique_ptr<labels::LabelingScheme> scheme;
+    std::unique_ptr<core::LabeledDocument> doc;
+  };
+  common::Result<LoadedImage> LoadImage(std::string_view snapshot_bytes) const;
+
   common::Status WriteFileAtomic(const std::string& name,
                                  std::string_view contents);
-  /// Commits generation `generation` whose snapshot image is
-  /// `snapshot_bytes` (already durably written): fresh journal, CURRENT,
-  /// old-generation cleanup, document reload from the image.
-  common::Status CommitGeneration(uint64_t generation,
-                                  std::string_view snapshot_bytes,
+  /// Commits generation `generation` whose snapshot image (already
+  /// durably written) loaded as `image`: fresh journal, CURRENT,
+  /// old-generation cleanup, then adopts the image's document.
+  common::Status CommitGeneration(uint64_t generation, LoadedImage image,
                                   uint64_t previous_generation);
 
   std::string dir_;

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "concurrency/update.h"
+#include "observability/metrics.h"
 #include "store/document_store.h"
 #include "store/file.h"
 #include "xml/parser.h"
@@ -372,6 +373,39 @@ TEST(ConcurrentStoreTest, CheckpointsRollBetweenBatches) {
   // Reopen after the rolls: full state intact.
   std::string live_xml = *(*st)->PinView()->SerializeXml();
   (*st)->Stop();
+  auto reopened = ConcurrentStore::Open("db", options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(*(*reopened)->PinView()->SerializeXml(), live_xml);
+}
+
+TEST(ConcurrentStoreTest, CheckpointFailureIsCountedAndRetried) {
+  MemFileSystem fs;
+  ConcurrentStoreOptions options;
+  options.store.fs = &fs;
+  options.store.checkpoint.max_journal_records = 1;
+  auto st = ConcurrentStore::Create("db", BaseTree(), "dewey", options);
+  ASSERT_TRUE(st.ok()) << st.status().ToString();
+  obs::Counter* failures =
+      obs::GlobalMetrics().GetCounter("cstore.checkpoint_failures");
+  const uint64_t failures_before = failures->value();
+
+  // Sync order: the batch's journal fsync (let through), then the
+  // checkpoint's snapshot-file fsync (failed). The update is acked; the
+  // due checkpoint fails without poisoning the store.
+  fs.FailSyncs(1, 1);
+  ASSERT_TRUE((*st)->Update(InsertChild(".", "first")).status.ok());
+  // The writer is sequential: by the time this batch is acked, the failed
+  // checkpoint of the previous round has been counted. Its own due
+  // checkpoint then succeeds.
+  ASSERT_TRUE((*st)->Update(InsertChild(".", "second")).status.ok());
+  EXPECT_EQ((*st)->stats().checkpoint_failures, 1u);
+  if (obs::kMetricsEnabled) {
+    EXPECT_EQ(failures->value() - failures_before, 1u);
+  }
+  std::string live_xml = *(*st)->PinView()->SerializeXml();
+  (*st)->Stop();
+  EXPECT_GE((*st)->stats().checkpoints, 1u);
+  EXPECT_EQ((*st)->stats().checkpoint_failures, 1u);
   auto reopened = ConcurrentStore::Open("db", options);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(*(*reopened)->PinView()->SerializeXml(), live_xml);

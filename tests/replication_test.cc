@@ -376,13 +376,14 @@ class EndToEnd : public ::testing::Test {
     if (!tmp_dir_.empty()) ::rmdir(tmp_dir_.c_str());
   }
 
-  void StartPrimary(uint64_t max_journal_records) {
+  void StartPrimary(uint64_t max_journal_records,
+                    const std::string& scheme = "ordpath") {
     ConcurrentStoreOptions options;
     options.store.fs = &primary_fs_;
     options.store.checkpoint.max_journal_records = max_journal_records;
     options.commit_hook = &source_;
     auto created = ConcurrentStore::Create(
-        "p", ParseOrDie("<root><seed/></root>"), "ordpath", options);
+        "p", ParseOrDie("<root><seed/></root>"), scheme, options);
     ASSERT_TRUE(created.ok()) << created.status().ToString();
     primary_ = std::move(*created);
     server_ = std::make_unique<concurrency::Server>(primary_.get());
@@ -511,6 +512,71 @@ TEST_F(EndToEnd, ReplicaLeftBehindTwoRollsCatchesUpWithASnapshot) {
   applier.reset();
   Shutdown();
 }
+
+// Replica views are published by cloning the applied document. After
+// every shipped frames message the pinned replica view must read exactly
+// like the primary's view at that position — byte-identical XML and the
+// same label bytes in document order — across appends, inserts before the
+// first child, value updates, deletions and checkpoint rolls.
+// xpath-accelerator relabels on insert, so its frames rewrite labels the
+// clone must carry over.
+class ReplicaViewEndToEnd : public EndToEnd,
+                            public ::testing::WithParamInterface<std::string> {
+};
+
+TEST_P(ReplicaViewEndToEnd, PinnedViewMatchesThePrimaryAfterEveryMessage) {
+  StartPrimary(/*max_journal_records=*/7, GetParam());  // rolls mid-run
+  std::unique_ptr<ReplicaApplier> applier = StartReplica();
+  AwaitConverged(applier.get());
+  ExpectIdentical(applier.get());
+
+  uint64_t last_epoch = applier->PinView()->epoch();
+  for (int i = 0; i < 24; ++i) {
+    UpdateRequest request;
+    switch (i % 4) {
+      case 0:
+        request = InsertChild(".", "n" + std::to_string(i));
+        break;
+      case 1:
+        request = InsertChild(".", "f" + std::to_string(i));
+        request.op = UpdateRequest::Op::kInsertBefore;
+        request.xpath = "/seed";
+        break;
+      case 2:
+        request.op = UpdateRequest::Op::kSetValue;
+        request.xpath = "/seed";
+        request.value = "v" + std::to_string(i);
+        break;
+      default:
+        request.op = UpdateRequest::Op::kDelete;
+        request.xpath = "/n" + std::to_string(i - 3);
+        break;
+    }
+    auto result = primary_->Update(request);
+    ASSERT_TRUE(result.status.ok()) << i << ": " << result.status.ToString();
+    ASSERT_EQ(result.matched, 1u) << i;
+    AwaitConverged(applier.get());
+    ExpectIdentical(applier.get());
+    const uint64_t epoch = applier->PinView()->epoch();
+    EXPECT_GT(epoch, last_epoch) << "a fresh view is published per message";
+    last_epoch = epoch;
+  }
+  EXPECT_GE(primary_->stats().checkpoints, 1u);
+
+  applier->Stop();
+  applier.reset();
+  Shutdown();
+}
+
+INSTANTIATE_TEST_SUITE_P(Schemes, ReplicaViewEndToEnd,
+                         ::testing::Values("ordpath", "xpath-accelerator"),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           std::string name = info.param;
+                           for (char& c : name) {
+                             if (c == '-') c = '_';
+                           }
+                           return name;
+                         });
 
 TEST_F(EndToEnd, ReplicaServerAnswersReadsAndRejectsWrites) {
   StartPrimary(/*max_journal_records=*/1000000);
