@@ -40,10 +40,10 @@
 #include <unistd.h>
 
 #include "concurrency/concurrent_store.h"
-#include "concurrency/update.h"
 #include "observability/metrics.h"
 #include "store/document_store.h"
 #include "store/file.h"
+#include "updates/update.h"
 #include "xml/parser.h"
 
 namespace {
@@ -53,8 +53,8 @@ using concurrency::ConcurrentStore;
 using concurrency::ConcurrentStoreOptions;
 using concurrency::ConcurrentStoreStats;
 using concurrency::ReadView;
-using concurrency::UpdateRequest;
-using concurrency::UpdateResult;
+using updates::UpdateRequest;
+using updates::UpdateResult;
 using store::DocumentStore;
 using store::MemFileSystem;
 using store::StoreOptions;

@@ -19,13 +19,13 @@
 
 #include "concurrency/concurrent_store.h"
 #include "concurrency/server.h"
-#include "concurrency/update.h"
 #include "replication/applier.h"
 #include "replication/replica_store.h"
 #include "replication/source.h"
 #include "store/document_store.h"
 #include "store/file.h"
 #include "store/journal.h"
+#include "updates/update.h"
 #include "xml/parser.h"
 
 namespace {
@@ -186,8 +186,8 @@ LiveRun MeasureLive(const std::string& scheme, size_t inserts) {
   if (up && applier.ok()) {
     auto write_start = std::chrono::steady_clock::now();
     for (size_t i = 0; i < inserts; ++i) {
-      concurrency::UpdateRequest request;
-      request.op = concurrency::UpdateRequest::Op::kInsertChild;
+      updates::UpdateRequest request;
+      request.op = updates::UpdateRequest::Op::kInsertChild;
       request.xpath = ".";
       request.kind = xml::NodeKind::kElement;
       request.name = "item";

@@ -12,6 +12,15 @@ namespace xmlup::concurrency {
 
 using common::Result;
 using common::Status;
+using updates::UpdateRequest;
+using updates::UpdateResult;
+
+namespace {
+
+/// Longest run of due batches a failing checkpoint is passed over for.
+constexpr uint64_t kMaxCheckpointSkips = 1024;
+
+}  // namespace
 
 ConcurrentStore::ConcurrentStore(std::unique_ptr<store::DocumentStore> store,
                                  ConcurrentStoreOptions options)
@@ -35,10 +44,6 @@ ConcurrentStore::ConcurrentStore(std::unique_ptr<store::DocumentStore> store,
   metrics_.crosschecks = reg.GetCounter("cstore.crosschecks");
   metrics_.crosscheck_failures = reg.GetCounter("cstore.crosscheck_failures");
   metrics_.checkpoint_failures = reg.GetCounter("cstore.checkpoint_failures");
-  metrics_.parallel_batches = reg.GetCounter("cstore.parallel_batches");
-  metrics_.txns_fast = reg.GetCounter("cstore.prepare_fast");
-  metrics_.txns_conflicted = reg.GetCounter("cstore.prepare_conflicted");
-  metrics_.prepare_fallbacks = reg.GetCounter("cstore.prepare_fallbacks");
   bin_ = std::make_shared<RecycleBin>();
   bin_->capacity = options_.max_recycled_views;
 }
@@ -90,14 +95,8 @@ Result<std::unique_ptr<ConcurrentStore>> ConcurrentStore::Start(
   // batch would make the writer spin without ever draining.
   opts.queue_capacity = std::max<size_t>(opts.queue_capacity, 1);
   opts.max_batch = std::max<size_t>(opts.max_batch, 1);
-  opts.apply_workers = std::max<size_t>(opts.apply_workers, 1);
   std::unique_ptr<ConcurrentStore> engine(
       new ConcurrentStore(std::move(store), opts));
-  if (opts.apply_workers > 1) {
-    // The writer thread is the first lane; the pool supplies the rest.
-    engine->pool_ =
-        std::make_unique<updates::ApplyPool>(opts.apply_workers - 1);
-  }
   // Capture must observe every primitive update from the very first
   // batch; it rides the same post-apply events the journal does.
   engine->store_->mutable_document()->AddUpdateObserver(&engine->capture_);
@@ -228,15 +227,6 @@ void ConcurrentStore::WriterLoop() {
       continue;
     }
 
-    // Parallel-prepare stage: resolve every transaction's XPaths and
-    // footprints concurrently against the latest published view (which
-    // shares the live arena) before the store is touched. Transactions
-    // proven pairwise independent apply below from their pre-resolved
-    // targets; everything else re-resolves live, exactly as before.
-    std::vector<updates::TransactionPlan> plans;
-    std::vector<bool> fast;
-    PrepareBatch(batch, &plans, &fast);
-
     // Apply the whole batch against the live document. Journal records
     // are appended (buffered) as each transaction applies; nothing is
     // durable — or acknowledged — yet. A transaction that fails partway
@@ -244,9 +234,9 @@ void ConcurrentStore::WriterLoop() {
     // action) is rolled back to the mark taken before its first mutation,
     // so the barrier below never makes a failed request's partial effects
     // durable — "a request that fails writes nothing" holds across the
-    // whole pipeline, not just XPath resolution. Mutation stays strictly
-    // serial in submission order regardless of the prepare stage, so the
-    // journal byte stream is identical to a fully serial apply.
+    // whole pipeline, not just XPath resolution. Resolution and mutation
+    // run here, serially in submission order, so the journal byte stream
+    // is exactly that of applying the transactions one by one.
     std::vector<UpdateResult> results(batch.size());
     size_t applied = 0;
     for (size_t i = 0; i < batch.size(); ++i) {
@@ -254,24 +244,9 @@ void ConcurrentStore::WriterLoop() {
       const size_t capture_mark = capture_.Mark();
       Status status;
       size_t matched = 0;
-      for (size_t r = 0; r < batch[i].requests.size(); ++r) {
-        const UpdateRequest& request = batch[i].requests[r];
+      for (const UpdateRequest& request : batch[i].requests) {
         size_t step = 0;
-        if (fast[i] &&
-            updates::TargetsStillValid(store_->document(), request,
-                                       plans[i].targets[r])) {
-          status = updates::ApplyResolved(store_.get(), request,
-                                          plans[i].targets[r], &step);
-        } else {
-          if (fast[i]) {
-            // The plan went stale (the independence analysis should make
-            // this unreachable); re-resolve live, which is always correct.
-            metrics_.prepare_fallbacks->Add(1);
-            std::lock_guard<std::mutex> lock(stats_mu_);
-            ++stats_.prepare_fallbacks;
-          }
-          status = ApplyUpdate(store_.get(), request, &step);
-        }
+        status = updates::ApplyUpdate(store_.get(), request, &step);
         if (!status.ok()) break;
         matched += step;
       }
@@ -291,11 +266,6 @@ void ConcurrentStore::WriterLoop() {
       store_->mutable_document()->RemoveUpdateObserver(&capture_);
       store_->mutable_document()->AddUpdateObserver(&capture_);
       capture_.TruncateTo(capture_mark);
-      // A reloading rollback may have rebuilt the arena, silently
-      // re-assigning the NodeIds the remaining plans resolved to; their
-      // pre-resolved targets can no longer be trusted.
-      std::fill(fast.begin() + static_cast<ptrdiff_t>(i) + 1, fast.end(),
-                false);
       if (!rolled.ok()) {
         // The store is poisoned; the rest of the batch cannot apply.
         status = Status::Internal(status.ToString() +
@@ -368,8 +338,17 @@ void ConcurrentStore::WriterLoop() {
     flush_ready_.notify_one();
 
     // Audit and roll the journal if due — after staging, so neither cost
-    // sits on the ack path of the batch just handed off.
-    const bool checkpoint_due = WillCheckpoint();
+    // sits on the ack path of the batch just handed off. After the k-th
+    // failed checkpoint in a row, the next 2^(k-1)-1 due batches (at most
+    // kMaxCheckpointSkips) pass without an attempt: a persistent fault,
+    // such as a full disk, costs about log2(n) snapshot writes over n due
+    // batches, then one per kMaxCheckpointSkips, instead of one per batch,
+    // while the first failure still retries on the very next batch.
+    bool checkpoint_due = WillCheckpoint();
+    if (checkpoint_due && checkpoint_skips_left_ > 0) {
+      --checkpoint_skips_left_;
+      checkpoint_due = false;
+    }
     const bool crosscheck_due =
         options_.crosscheck_every > 0 &&
         publishes_since_crosscheck_ >= options_.crosscheck_every;
@@ -388,11 +367,19 @@ void ConcurrentStore::WriterLoop() {
         continue;
       }
       const uint64_t generation_before = store_->stats().sequence;
-      // A failed checkpoint leaves the current generation serving (the
-      // next due batch retries); a failure that poisoned the store shows
-      // up on the next commit. Either way it is counted, not dropped.
+      // A failed checkpoint leaves the current generation serving (a later
+      // due batch retries, after the backoff above); a failure that
+      // poisoned the store shows up on the next commit. Either way it is
+      // counted, not dropped.
       const Status checkpointed = store_->MaybeCheckpoint();
-      if (!checkpointed.ok()) metrics_.checkpoint_failures->Add(1);
+      if (checkpointed.ok()) {
+        checkpoint_backoff_ = 0;
+      } else {
+        metrics_.checkpoint_failures->Add(1);
+        checkpoint_skips_left_ = checkpoint_backoff_;
+        checkpoint_backoff_ =
+            std::min(2 * checkpoint_backoff_ + 1, kMaxCheckpointSkips);
+      }
       if (store_->stats().sequence != generation_before) {
         if (options_.commit_hook != nullptr) {
           options_.commit_hook->OnCommit(store_.get());
@@ -404,50 +391,6 @@ void ConcurrentStore::WriterLoop() {
       if (!checkpointed.ok()) ++stats_.checkpoint_failures;
     }
   }
-}
-
-void ConcurrentStore::PrepareBatch(const std::vector<Pending>& batch,
-                                   std::vector<updates::TransactionPlan>* plans,
-                                   std::vector<bool>* fast) {
-  fast->assign(batch.size(), false);
-  plans->clear();
-  if (pool_ == nullptr || batch.size() < 2) return;
-  // Snapshot views round-trip through a compacted arena: their NodeIds
-  // are not the live document's, so plans would resolve garbage.
-  if (options_.force_snapshot_views) return;
-  std::shared_ptr<const ReadView> view = PinView();
-  if (view == nullptr) return;
-  // The plans' NodeIds transfer to the live document only when the
-  // published view is an exact same-arena image of the live state: same
-  // delta lineage (no checkpoint compacted the arena since), every
-  // committed op published, and the view's read caches (order keys +
-  // LabelIndex) prewarmed, making concurrent planning const-pure.
-  if (!view->indexed_ || view->lineage_ != lineage_ || view->usn_ != usn_ ||
-      published_usn_ != usn_) {
-    return;
-  }
-  const core::LabeledDocument& doc = view->document();
-  plans->resize(batch.size());
-  pool_->ParallelFor(batch.size(), [&](size_t i) {
-    (*plans)[i] = updates::PlanTransaction(doc, batch[i].requests,
-                                           updates::PlanOptions{});
-  });
-  const std::vector<bool> conflicted = updates::MarkConflicts(*plans);
-  uint64_t fast_count = 0;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    (*fast)[i] = (*plans)[i].usable && !conflicted[i] &&
-                 (*plans)[i].targets.size() == batch[i].requests.size();
-    if ((*fast)[i]) ++fast_count;
-  }
-  const uint64_t conflicted_count = batch.size() - fast_count;
-  metrics_.parallel_batches->Add(1);
-  metrics_.txns_fast->Add(fast_count);
-  metrics_.txns_conflicted->Add(conflicted_count);
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++stats_.parallel_batches;
-  stats_.txns_prepared += batch.size();
-  stats_.txns_fast += fast_count;
-  stats_.txns_conflicted += conflicted_count;
 }
 
 void ConcurrentStore::ResolveOnWriter(std::vector<Pending> batch,

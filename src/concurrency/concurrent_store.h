@@ -14,12 +14,10 @@
 #include <vector>
 
 #include "concurrency/read_view.h"
-#include "concurrency/update.h"
 #include "concurrency/view_delta.h"
 #include "observability/metrics.h"
 #include "store/document_store.h"
-#include "updates/apply_pool.h"
-#include "updates/footprint.h"
+#include "updates/update.h"
 
 namespace xmlup::concurrency {
 
@@ -78,17 +76,6 @@ struct ConcurrentStoreOptions {
   /// Most retired views kept for recycling. Beyond this, dropped views
   /// are simply freed.
   size_t max_recycled_views = 4;
-  /// Lanes for the parallel-prepare stage (1 = serial, the pre-existing
-  /// behaviour). With w > 1 lanes the writer fans each batch's XPath
-  /// resolution and footprint analysis (updates/footprint.h) out over
-  /// w threads (itself plus w-1 pool workers) against the latest
-  /// published view, then applies transactions proven independent from
-  /// their pre-resolved targets — skipping the per-transaction live
-  /// XPath evaluation — while mutation, journal append order, and the
-  /// single fsync stay strictly serial in submission order. Journal
-  /// bytes are therefore identical to a serial apply by construction;
-  /// batches with overlapping footprints degrade to the serial path.
-  size_t apply_workers = 1;
 };
 
 /// Counters for the update pipeline, maintained under stats_mu_ by the
@@ -106,12 +93,6 @@ struct ConcurrentStoreStats {
   uint64_t checkpoints = 0;
   uint64_t checkpoint_failures = 0;  ///< Due checkpoints that failed.
   uint64_t current_epoch = 0;
-  // Parallel-prepare stage (zero everywhere when apply_workers == 1).
-  uint64_t parallel_batches = 0;   ///< Batches that ran the prepare stage.
-  uint64_t txns_prepared = 0;      ///< Transactions planned in parallel.
-  uint64_t txns_fast = 0;          ///< Applied from pre-resolved targets.
-  uint64_t txns_conflicted = 0;    ///< Overlapping/unanalysable: live path.
-  uint64_t prepare_fallbacks = 0;  ///< Stale plans caught at apply time.
 };
 
 /// Multi-client engine over a DocumentStore: snapshot-isolated readers,
@@ -165,7 +146,8 @@ class ConcurrentStore : public ViewProvider {
   /// Enqueues one update; blocks while the queue is full. The future
   /// resolves after the batch containing the request is durable (or with
   /// the failure). Safe from any thread.
-  std::future<UpdateResult> SubmitUpdate(UpdateRequest request);
+  std::future<updates::UpdateResult> SubmitUpdate(
+      updates::UpdateRequest request);
 
   /// Enqueues several updates as one all-or-nothing transaction: either
   /// every request applies (matched sums them) or none does — a failure
@@ -173,11 +155,11 @@ class ConcurrentStore : public ViewProvider {
   /// before the batch commits, so a failed transaction is never partially
   /// durable or partially visible. The unit a serve-mode frame maps to,
   /// matching `xmlup ed` script semantics.
-  std::future<UpdateResult> SubmitTransaction(
-      std::vector<UpdateRequest> requests);
+  std::future<updates::UpdateResult> SubmitTransaction(
+      std::vector<updates::UpdateRequest> requests);
 
   /// Convenience: submit and wait.
-  UpdateResult Update(UpdateRequest request);
+  updates::UpdateResult Update(updates::UpdateRequest request);
 
   /// Drains outstanding requests, commits them, and stops both pipeline
   /// threads. Subsequent submissions fail immediately. Idempotent.
@@ -187,8 +169,8 @@ class ConcurrentStore : public ViewProvider {
 
  private:
   struct Pending {
-    std::vector<UpdateRequest> requests;  ///< One all-or-nothing unit.
-    std::promise<UpdateResult> promise;
+    std::vector<updates::UpdateRequest> requests;  ///< All-or-nothing unit.
+    std::promise<updates::UpdateResult> promise;
   };
 
   /// A staged batch travelling from writer to flusher: the journal
@@ -197,7 +179,7 @@ class ConcurrentStore : public ViewProvider {
   struct FlushJob {
     store::DocumentStore::StagedCommit staged;
     std::vector<Pending> waiters;
-    std::vector<UpdateResult> results;
+    std::vector<updates::UpdateResult> results;
     std::chrono::steady_clock::time_point staged_at;
   };
 
@@ -222,22 +204,11 @@ class ConcurrentStore : public ViewProvider {
   void WriterLoop();
   void FlusherLoop();
 
-  /// Parallel-prepare stage: plans every transaction of the batch against
-  /// the latest published view (which shares the live arena) on the apply
-  /// pool, marks pairwise conflicts, and fills fast[i] = "apply txn i from
-  /// its pre-resolved targets". fast stays all-false when the stage cannot
-  /// run: no pool, singleton batch, or the published view is not an exact
-  /// same-arena image of the live document (snapshot mode, unpublished
-  /// ops, checkpoint just rolled the lineage, index unavailable).
-  void PrepareBatch(const std::vector<Pending>& batch,
-                    std::vector<updates::TransactionPlan>* plans,
-                    std::vector<bool>* fast);
-
   /// Fail-fast path for batches that never reach the flusher (pipeline
   /// already poisoned): counts stats and resolves the waiters on the
   /// writer thread.
   void ResolveOnWriter(std::vector<Pending> batch,
-                       std::vector<UpdateResult> results);
+                       std::vector<updates::UpdateResult> results);
 
   /// Waits until every staged batch's barrier has completed; returns the
   /// sticky flusher error, if any. Writer thread (or Stop) only. Must be
@@ -296,10 +267,6 @@ class ConcurrentStore : public ViewProvider {
     obs::Counter* crosschecks = nullptr;
     obs::Counter* crosscheck_failures = nullptr;
     obs::Counter* checkpoint_failures = nullptr;
-    obs::Counter* parallel_batches = nullptr;
-    obs::Counter* txns_fast = nullptr;
-    obs::Counter* txns_conflicted = nullptr;
-    obs::Counter* prepare_fallbacks = nullptr;
   };
 
   ConcurrentStoreOptions options_;
@@ -314,9 +281,6 @@ class ConcurrentStore : public ViewProvider {
   /// rollback or checkpoint (AdoptDocument drops foreign observers).
   DeltaCapture capture_;
 
-  /// Workers for the parallel-prepare stage; null when apply_workers <= 1.
-  std::unique_ptr<updates::ApplyPool> pool_;
-
   // --- Writer-private delta state ----------------------------------------
   uint64_t last_epoch_ = 0;     ///< Writer-owned epoch counter.
   uint64_t usn_ = 0;            ///< Committed captured ops, ever.
@@ -325,6 +289,11 @@ class ConcurrentStore : public ViewProvider {
   uint64_t retained_base_ = 0;  ///< usn of retained_.front().
   std::deque<DeltaOp> retained_;
   uint64_t publishes_since_crosscheck_ = 0;
+  /// Checkpoint backoff (see WriterLoop): due batches to pass over after
+  /// the next failure (2^(k-1)-1 after the k-th in a row), and due batches
+  /// still to pass over before the next attempt.
+  uint64_t checkpoint_backoff_ = 0;
+  uint64_t checkpoint_skips_left_ = 0;
   /// First unrecoverable pipeline failure (barrier failure observed from
   /// the flusher, or a rollback that poisoned the store). Once set, every
   /// subsequent batch fails fast without touching the journal.

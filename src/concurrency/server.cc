@@ -21,6 +21,9 @@ namespace xmlup::concurrency {
 
 using common::Result;
 using common::Status;
+using updates::ParseActionTokens;
+using updates::UpdateRequest;
+using updates::UpdateResult;
 
 namespace {
 

@@ -212,6 +212,10 @@ class MemFileSystem::MemFile : public WritableFile {
 
 Status MemFileSystem::SyncImpl(const std::string& what) {
   ++sync_count_;
+  if (!fail_syncs_containing_.empty() &&
+      what.find(fail_syncs_containing_) != std::string::npos) {
+    return Status::Internal("injected fsync failure on " + what);
+  }
   if (skip_syncs_ > 0) {
     --skip_syncs_;
     return Status::Ok();
@@ -390,6 +394,11 @@ void MemFileSystem::FailSyncs(size_t skip, size_t count) {
   std::lock_guard<std::mutex> lock(mu_);
   skip_syncs_ = skip;
   fail_syncs_ = count;
+}
+
+void MemFileSystem::FailSyncsContaining(std::string fragment) {
+  std::lock_guard<std::mutex> lock(mu_);
+  fail_syncs_containing_ = std::move(fragment);
 }
 
 Status MemFileSystem::FlipBit(const std::string& path, uint64_t offset,

@@ -117,6 +117,10 @@ class MemFileSystem : public FileSystem {
   /// Lets `skip` Sync()/SyncDir() calls succeed, then fails the following
   /// `count` — pinpoints one sync in a longer deterministic sequence.
   void FailSyncs(size_t skip, size_t count);
+  /// Every Sync()/SyncDir() whose path contains `fragment` fails with
+  /// kInternal until cleared with an empty fragment: a persistent fault on
+  /// one kind of file (say "snapshot-") while every other sync succeeds.
+  void FailSyncsContaining(std::string fragment);
 
   /// Flips bit `bit` (0..7) of the byte at `offset` in `path` — a stored
   /// corruption the journal's CRC framing must catch.
@@ -177,6 +181,7 @@ class MemFileSystem : public FileSystem {
   std::map<std::string, uint64_t> write_limits_;
   size_t skip_syncs_ = 0;
   size_t fail_syncs_ = 0;
+  std::string fail_syncs_containing_;
   size_t sync_count_ = 0;
 };
 

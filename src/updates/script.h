@@ -13,8 +13,7 @@ namespace xmlup::updates {
 /// A compiled update script: the typed op list an `xmlup apply` file (or
 /// a wire-protocol `--apply` frame) lowers to. The whole script is one
 /// all-or-nothing transaction — the same contract as an `xmlup ed` argv
-/// tail — so it can ride the group-commit pipeline as a single unit and
-/// be footprint-analysed as one (footprint.h).
+/// tail — so it rides the group-commit pipeline as a single unit.
 struct UpdateScript {
   std::vector<UpdateRequest> requests;
 };

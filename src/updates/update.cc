@@ -286,28 +286,4 @@ Status ApplyUpdate(store::DocumentStore* store, const UpdateRequest& request,
   return ApplyResolved(store, request, targets, matched);
 }
 
-bool TargetsStillValid(const core::LabeledDocument& doc,
-                       const UpdateRequest& request,
-                       const ResolvedTargets& targets) {
-  // Deletes (and the delete half of moves/renames) skip dead matches by
-  // design; every other op requires each target live.
-  const bool tolerate_dead = request.op == UpdateRequest::Op::kDelete ||
-                             request.op == UpdateRequest::Op::kMove ||
-                             request.op == UpdateRequest::Op::kRename;
-  if (!tolerate_dead) {
-    for (NodeId target : targets.matches) {
-      if (!doc.tree().IsValid(target)) return false;
-    }
-  }
-  if (request.op == UpdateRequest::Op::kMove) {
-    // The move destination is resolved to the *first* match and must be
-    // live (a dead first match would silently retarget the move).
-    if (targets.matches2.empty() ||
-        !doc.tree().IsValid(targets.matches2.front())) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace xmlup::updates

@@ -16,9 +16,7 @@ namespace xmlup::updates {
 /// (-i/-a/-s/-d/-u/-m/-r) lifted into a struct: targets are XPath
 /// expressions, resolved by the writer against its live document at apply
 /// time — never NodeIds, which go stale whenever a checkpoint compacts the
-/// arena. (The parallel-apply stage resolves once against a pinned view
-/// and carries ResolvedTargets, but only for transactions proven
-/// independent of everything else in their batch — see footprint.h.)
+/// arena.
 struct UpdateRequest {
   enum class Op : uint8_t {
     kInsertBefore,  ///< -i: new sibling before each match
@@ -48,8 +46,8 @@ struct UpdateResult {
   uint64_t epoch = 0;  ///< First published view that shows the change.
 };
 
-/// The match sets of one request, resolved ahead of apply against a
-/// pinned view whose arena the live document shares (NodeIds transfer).
+/// The match sets of one request, resolved against the document the edit
+/// applies to (NodeIds are only meaningful within that arena).
 struct ResolvedTargets {
   std::vector<xml::NodeId> matches;   ///< Matches of xpath.
   std::vector<xml::NodeId> matches2;  ///< kMove: matches of xpath2.
@@ -86,22 +84,14 @@ common::Result<std::vector<UpdateRequest>> ParseActionTokens(
 common::Status ApplyUpdate(store::DocumentStore* store,
                            const UpdateRequest& request, size_t* matched);
 
-/// Applies `request` to pre-resolved targets instead of re-resolving its
-/// XPaths — the parallel-apply fast path. Byte-for-byte the same journal
-/// records as ApplyUpdate when the targets equal what a live resolution
-/// would produce (which the independence analysis guarantees).
+/// Applies `request` to already-resolved targets instead of resolving its
+/// XPaths — the second half of ApplyUpdate, for callers that time or trace
+/// resolution and mutation separately. Byte-for-byte the same journal records
+/// as ApplyUpdate when the targets equal what a live resolution would
+/// produce.
 common::Status ApplyResolved(store::DocumentStore* store,
                              const UpdateRequest& request,
                              const ResolvedTargets& targets, size_t* matched);
-
-/// Defensive gate in front of ApplyResolved: true when every pre-resolved
-/// target is still live in the store's document (deletes tolerate dead
-/// matches by design). False means the resolution is stale — the
-/// independence analysis was wrong or the arena changed — and the caller
-/// must fall back to a live ApplyUpdate.
-bool TargetsStillValid(const core::LabeledDocument& doc,
-                       const UpdateRequest& request,
-                       const ResolvedTargets& targets);
 
 }  // namespace xmlup::updates
 

@@ -7,8 +7,8 @@
 #include <set>
 #include <sstream>
 
-#include "concurrency/update.h"
 #include "updates/script.h"
+#include "updates/update.h"
 #include "xpath/parser.h"
 
 namespace xmlup::workload {
@@ -598,7 +598,7 @@ common::Result<WorkloadSpec> ParseWorkloadSpec(std::string_view text) {
         XMLUP_RETURN_NOT_OK(check_template(token));
         neutral.push_back(NeutralizeTemplates(token));
       }
-      auto parsed = concurrency::ParseActionTokens(neutral);
+      auto parsed = updates::ParseActionTokens(neutral);
       if (!parsed.ok()) {
         return SpecError(node.line, node.line_text,
                          "edit node '" + node.name + "' script: " +

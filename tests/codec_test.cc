@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
 
 #include "common/rng.h"
 #include "labels/binary_codec.h"
@@ -23,6 +24,11 @@ struct CodecParam {
   // design; its property tests are relaxed accordingly.
   bool order_reliable = true;
 };
+
+// gtest prints each parameter into its test's listed name; the default
+// print dumps the struct's bytes, addresses included, so the ctest names
+// would change on every run.
+void PrintTo(const CodecParam& param, std::ostream* os) { *os << param.name; }
 
 class CodecTest : public ::testing::TestWithParam<CodecParam> {
  protected:

@@ -8,6 +8,7 @@
 #include "concurrency/concurrent_store.h"
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -15,16 +16,19 @@
 
 #include <gtest/gtest.h>
 
-#include "concurrency/update.h"
 #include "observability/metrics.h"
 #include "store/document_store.h"
 #include "store/file.h"
+#include "updates/update.h"
 #include "xml/parser.h"
 
 namespace xmlup::concurrency {
 namespace {
 
 using store::MemFileSystem;
+using updates::ParseActionTokens;
+using updates::UpdateRequest;
+using updates::UpdateResult;
 
 std::string Name(const char* prefix, int i) {
   std::string out = prefix;
@@ -248,6 +252,79 @@ TEST(ConcurrentStoreTest, RolledBackTransactionDoesNotSinkItsBatch) {
   EXPECT_EQ((*after->Query("/*")).size(), 2u + kGood);
 }
 
+/// Slows every group commit so a submitter that does not wait for acks
+/// runs ahead of the writer and multi-transaction batches form.
+class SlowCommitHook : public CommitHook {
+ public:
+  void OnCommit(store::DocumentStore*) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+};
+
+// Transactions that share a batch journal exactly the bytes of applying
+// them one at a time, and one that fails after its first request applied
+// is rolled back inside the batch without disturbing its neighbours.
+TEST(ConcurrentStoreTest, BatchedTransactionsJournalLikeASerialApply) {
+  std::vector<std::vector<UpdateRequest>> txns;
+  for (int i = 0; i < 48; ++i) {
+    std::vector<UpdateRequest> txn;
+    txn.push_back(InsertChild(".", Name("t", i), Name("v", i)));
+    if (i % 4 == 1) {
+      UpdateRequest bad;
+      bad.op = UpdateRequest::Op::kDelete;
+      bad.xpath = Name("/gone", i);
+      txn.push_back(bad);
+    } else if (i % 4 == 2) {
+      txn.push_back(InsertChild(Name("/t", i - 2), "c"));
+    }
+    txns.push_back(std::move(txn));
+  }
+
+  MemFileSystem batched_fs;
+  SlowCommitHook hook;
+  ConcurrentStoreOptions options;
+  options.store.fs = &batched_fs;
+  options.commit_hook = &hook;
+  auto st = ConcurrentStore::Create("db", BaseTree(), "dewey", options);
+  ASSERT_TRUE(st.ok()) << st.status().ToString();
+  std::vector<std::future<UpdateResult>> futures;
+  for (const std::vector<UpdateRequest>& txn : txns) {
+    futures.push_back((*st)->SubmitTransaction(txn));
+  }
+  for (size_t i = 0; i < futures.size(); ++i) {
+    UpdateResult result = futures[i].get();
+    EXPECT_EQ(result.status.ok(), i % 4 != 1) << "transaction " << i;
+    EXPECT_EQ(result.matched, i % 4 == 2 ? 2u : i % 4 == 1 ? 0u : 1u);
+  }
+  EXPECT_GT((*st)->stats().largest_batch, 1u);
+  (*st)->Stop();
+
+  // The reference: a plain store applying one transaction per commit.
+  MemFileSystem serial_fs;
+  store::StoreOptions serial_options;
+  serial_options.fs = &serial_fs;
+  serial_options.sync_each_update = false;
+  auto serial = store::DocumentStore::Create("db", BaseTree(), "dewey",
+                                             serial_options);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  for (const std::vector<UpdateRequest>& txn : txns) {
+    const store::DocumentStore::BatchMark mark = (*serial)->Mark();
+    common::Status status;
+    for (const UpdateRequest& request : txn) {
+      status = updates::ApplyUpdate(serial->get(), request, nullptr);
+      if (!status.ok()) break;
+    }
+    if (!status.ok()) {
+      ASSERT_TRUE((*serial)->RollbackTail(mark).ok());
+    }
+    ASSERT_TRUE((*serial)->CommitBatch().ok());
+  }
+  auto batched_journal = batched_fs.ReadFile("db/journal-000001");
+  auto serial_journal = serial_fs.ReadFile("db/journal-000001");
+  ASSERT_TRUE(batched_journal.ok() && serial_journal.ok());
+  EXPECT_EQ(*batched_journal, *serial_journal);
+}
+
 TEST(ConcurrentStoreTest, ZeroQueueAndBatchAreClamped) {
   MemFileSystem fs;
   ConcurrentStoreOptions options;
@@ -409,6 +486,45 @@ TEST(ConcurrentStoreTest, CheckpointFailureIsCountedAndRetried) {
   auto reopened = ConcurrentStore::Open("db", options);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(*(*reopened)->PinView()->SerializeXml(), live_xml);
+}
+
+TEST(ConcurrentStoreTest, PersistentCheckpointFailureBacksOff) {
+  MemFileSystem fs;
+  ConcurrentStoreOptions options;
+  options.store.fs = &fs;
+  options.store.checkpoint.max_journal_records = 1;  // due after each batch
+  auto st = ConcurrentStore::Create("db", BaseTree(), "dewey", options);
+  ASSERT_TRUE(st.ok()) << st.status().ToString();
+
+  // Every snapshot sync fails, every journal sync succeeds: each batch is
+  // acked and leaves a checkpoint due. Without backoff the writer would
+  // write a whole snapshot after each of the 64 batches; with it, the
+  // attempts fall on due batches 1, 2, 4, 8, 16, 32 and 64.
+  fs.FailSyncsContaining("snapshot-");
+  int acked = 0;
+  for (int i = 0; i < 64; ++i, ++acked) {
+    ASSERT_TRUE((*st)->Update(InsertChild(".", Name("n", i))).status.ok());
+  }
+  const uint64_t failures = (*st)->stats().checkpoint_failures;
+  EXPECT_GE(failures, 1u);
+  EXPECT_LE(failures, 7u);
+  EXPECT_EQ((*st)->stats().checkpoints, 0u);
+
+  // Once the fault clears, a later due batch checkpoints successfully.
+  fs.FailSyncsContaining("");
+  for (int i = 64; i < 64 + 128 && (*st)->stats().checkpoints == 0;
+       ++i, ++acked) {
+    ASSERT_TRUE((*st)->Update(InsertChild(".", Name("n", i))).status.ok());
+  }
+  const std::string live_xml = *(*st)->PinView()->SerializeXml();
+  (*st)->Stop();
+  EXPECT_GE((*st)->stats().checkpoints, 1u);
+
+  auto reopened = ConcurrentStore::Open("db", options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto view = (*reopened)->PinView();
+  EXPECT_EQ(*view->SerializeXml(), live_xml);
+  EXPECT_EQ((*view->Query("/*")).size(), 2u + static_cast<size_t>(acked));
 }
 
 TEST(ConcurrentStoreTest, GroupCommitAccountingIsVisible) {

@@ -15,14 +15,16 @@
 #include <gtest/gtest.h>
 
 #include "concurrency/concurrent_store.h"
-#include "concurrency/update.h"
 #include "store/file.h"
+#include "updates/update.h"
 #include "xml/parser.h"
 
 namespace xmlup::concurrency {
 namespace {
 
 using store::MemFileSystem;
+using updates::UpdateRequest;
+using updates::UpdateResult;
 
 std::string Name(const char* prefix, int i) {
   std::string out = prefix;

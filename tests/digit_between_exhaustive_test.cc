@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,11 @@ struct DomainCase {
   DigitDomain domain;
   size_t max_len;
 };
+
+// gtest prints each parameter into its test's listed name; the default
+// print dumps the struct's bytes, addresses included, so the ctest names
+// would change on every run.
+void PrintTo(const DomainCase& param, std::ostream* os) { *os << param.name; }
 
 class DigitBetweenExhaustiveTest
     : public ::testing::TestWithParam<DomainCase> {};

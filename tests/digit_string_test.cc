@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -91,6 +92,11 @@ struct DomainParam {
   const char* name;
   DigitDomain domain;
 };
+
+// gtest prints each parameter into its test's listed name; the default
+// print dumps the struct's bytes, addresses included, so the ctest names
+// would change on every run.
+void PrintTo(const DomainParam& param, std::ostream* os) { *os << param.name; }
 
 class DigitStringPropertyTest : public ::testing::TestWithParam<DomainParam> {
 };

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <string>
 
 #include "common/rng.h"
@@ -38,6 +39,13 @@ std::string CaseName(const ::testing::TestParamInfo<FuzzCase>& info) {
     if (c == '-') c = '_';
   }
   return name;
+}
+
+// gtest prints each parameter into its test's listed name; the default
+// print dumps the struct's bytes, addresses included, so the ctest names
+// would change on every run.
+void PrintTo(const FuzzCase& param, std::ostream* os) {
+  *os << CaseName(::testing::TestParamInfo<FuzzCase>(param, 0));
 }
 
 std::vector<FuzzCase> Cases() {

@@ -12,19 +12,19 @@
 #include <string>
 #include <vector>
 
-#include "concurrency/update.h"
 #include "core/snapshot.h"
 #include "store/document_store.h"
 #include "store/file.h"
 #include "store/journal.h"
+#include "updates/update.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 
 namespace xmlup {
 namespace {
 
-using concurrency::ApplyUpdate;
-using concurrency::UpdateRequest;
+using updates::ApplyUpdate;
+using updates::UpdateRequest;
 using core::LabeledDocument;
 using store::DocumentStore;
 using store::MemFileSystem;

@@ -25,9 +25,9 @@
 
 #include "common/rng.h"
 #include "concurrency/concurrent_store.h"
-#include "concurrency/update.h"
 #include "observability/metrics.h"
 #include "store/document_store.h"
+#include "updates/update.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 
@@ -36,8 +36,8 @@ namespace {
 
 using concurrency::ConcurrentStore;
 using concurrency::ConcurrentStoreOptions;
-using concurrency::UpdateRequest;
-using concurrency::UpdateResult;
+using updates::UpdateRequest;
+using updates::UpdateResult;
 using store::DocumentStore;
 using store::MemFileSystem;
 using store::StoreOptions;
@@ -179,7 +179,7 @@ RunOutcome RunPlainStore(const std::vector<Txn>& txns, MemFileSystem* fs) {
     const DocumentStore::BatchMark mark = (*store)->Mark();
     common::Status status;
     for (const UpdateRequest& req : txn.requests) {
-      status = concurrency::ApplyUpdate(store->get(), req, nullptr);
+      status = updates::ApplyUpdate(store->get(), req, nullptr);
       if (!status.ok()) break;
     }
     if (status.ok()) {

@@ -21,12 +21,12 @@
 
 #include "concurrency/concurrent_store.h"
 #include "concurrency/server.h"
-#include "concurrency/update.h"
 #include "labels/registry.h"
 #include "replication/applier.h"
 #include "replication/source.h"
 #include "store/document_store.h"
 #include "store/file.h"
+#include "updates/update.h"
 #include "xml/parser.h"
 
 namespace xmlup::replication {
@@ -34,7 +34,7 @@ namespace {
 
 using concurrency::ConcurrentStore;
 using concurrency::ConcurrentStoreOptions;
-using concurrency::UpdateRequest;
+using updates::UpdateRequest;
 using store::MemFileSystem;
 
 // Built with += rather than operator+: GCC 12's -Werror=restrict

@@ -16,7 +16,6 @@
 
 #include "concurrency/concurrent_store.h"
 #include "concurrency/server.h"
-#include "concurrency/update.h"
 #include "core/snapshot.h"
 #include "replication/applier.h"
 #include "replication/replica_store.h"
@@ -25,6 +24,7 @@
 #include "store/file.h"
 #include "store/journal.h"
 #include "store/journal_cursor.h"
+#include "updates/update.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 
@@ -33,7 +33,7 @@ namespace {
 
 using concurrency::ConcurrentStore;
 using concurrency::ConcurrentStoreOptions;
-using concurrency::UpdateRequest;
+using updates::UpdateRequest;
 using store::DocumentStore;
 using store::JournalCursor;
 using store::MemFileSystem;
@@ -81,7 +81,7 @@ TEST(JournalCursorTest, FirstPollReturnsTheWholeCommittedBody) {
   DocumentStore* store = created->get();
   for (int i = 0; i < 3; ++i) {
     size_t matched = 0;
-    ASSERT_TRUE(concurrency::ApplyUpdate(
+    ASSERT_TRUE(updates::ApplyUpdate(
                     store, InsertChild(".", "n" + std::to_string(i)), &matched)
                     .ok());
   }
@@ -121,7 +121,7 @@ TEST(JournalCursorTest, PollReturnsOnlyTheDeltaAndSurvivesRolls) {
   ASSERT_TRUE(cursor.Poll().ok());  // drain the (empty) body
 
   size_t matched = 0;
-  ASSERT_TRUE(concurrency::ApplyUpdate(store, InsertChild(".", "a"), &matched)
+  ASSERT_TRUE(updates::ApplyUpdate(store, InsertChild(".", "a"), &matched)
                   .ok());
   auto delta = cursor.Poll();
   ASSERT_TRUE(delta.ok());
@@ -131,7 +131,7 @@ TEST(JournalCursorTest, PollReturnsOnlyTheDeltaAndSurvivesRolls) {
 
   const uint64_t old_generation = store->LastCommitPoint().generation;
   ASSERT_TRUE(store->Checkpoint().ok());
-  ASSERT_TRUE(concurrency::ApplyUpdate(store, InsertChild(".", "b"), &matched)
+  ASSERT_TRUE(updates::ApplyUpdate(store, InsertChild(".", "b"), &matched)
                   .ok());
   auto rolled = cursor.Poll();
   ASSERT_TRUE(rolled.ok());
@@ -167,7 +167,7 @@ Primary MakePrimary(MemFileSystem* fs, int edits) {
     std::string name = "n";
     name += std::to_string(i);
     EXPECT_TRUE(
-        concurrency::ApplyUpdate(p.store.get(), InsertChild(".", name),
+        updates::ApplyUpdate(p.store.get(), InsertChild(".", name),
                                  &matched)
             .ok());
   }

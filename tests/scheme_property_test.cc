@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "common/rng.h"
@@ -37,6 +38,13 @@ std::string CaseName(const ::testing::TestParamInfo<SchemeCase>& info) {
     if (c == '-') c = '_';
   }
   return name;
+}
+
+// gtest prints each parameter into its test's listed name; the default
+// print dumps the struct's bytes, addresses included, so the ctest names
+// would change on every run.
+void PrintTo(const SchemeCase& param, std::ostream* os) {
+  *os << CaseName(::testing::TestParamInfo<SchemeCase>(param, 0));
 }
 
 std::vector<SchemeCase> AllCases() {

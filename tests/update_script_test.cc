@@ -1,12 +1,7 @@
 // The update-script subsystem: the action grammar's move/rename
-// extensions, the script compiler (comments, `let` bindings, one-line
-// file:line diagnostics), the footprint algebra behind the parallel
-// apply stage — including a fuzz of Disjoint against a brute-force
-// position-set intersection oracle — and the independence analysis
-// (PlanTransaction / Independent / MarkConflicts) that decides which
-// transactions may apply from pre-resolved targets.
+// extensions and the script compiler (comments, `let` bindings, one-line
+// file:line diagnostics).
 
-#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -14,12 +9,9 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
 #include "core/labeled_document.h"
-#include "labels/registry.h"
 #include "store/document_store.h"
 #include "store/file.h"
-#include "updates/footprint.h"
 #include "updates/script.h"
 #include "updates/update.h"
 #include "xml/parser.h"
@@ -28,7 +20,6 @@
 namespace xmlup::updates {
 namespace {
 
-using common::SplitMix64;
 using core::LabeledDocument;
 using store::DocumentStore;
 using store::MemFileSystem;
@@ -249,294 +240,6 @@ TEST(UpdateScriptTest, EmptyScriptCompilesToNoRequests) {
   auto script = ParseUpdateScript("# nothing\n\nlet unused = 1\n", "s");
   ASSERT_TRUE(script.ok()) << script.status().ToString();
   EXPECT_TRUE(script->requests.empty());
-}
-
-// --- Footprint algebra -----------------------------------------------------
-
-Footprint FromIntervals(
-    std::vector<std::pair<size_t, size_t>> intervals) {
-  Footprint fp;
-  fp.intervals = std::move(intervals);
-  fp.Normalize();
-  return fp;
-}
-
-TEST(FootprintTest, DisjointBasics) {
-  const Footprint empty;
-  Footprint whole;
-  whole.MakeWholeDocument();
-  EXPECT_TRUE(Disjoint(empty, empty));
-  EXPECT_TRUE(Disjoint(whole, empty));
-  EXPECT_TRUE(Disjoint(empty, whole));
-  EXPECT_FALSE(Disjoint(whole, whole));
-  EXPECT_FALSE(Disjoint(whole, FromIntervals({{3, 4}})));
-  EXPECT_TRUE(Disjoint(FromIntervals({{0, 2}, {5, 7}}),
-                       FromIntervals({{2, 5}, {7, 9}})));
-  EXPECT_FALSE(Disjoint(FromIntervals({{0, 2}, {5, 7}}),
-                        FromIntervals({{6, 8}})));
-}
-
-TEST(FootprintTest, NormalizeCoalescesTouchingAndOverlapping) {
-  Footprint fp = FromIntervals({{5, 7}, {0, 2}, {2, 3}, {6, 9}});
-  ASSERT_EQ(fp.intervals.size(), 2u);
-  EXPECT_EQ(fp.intervals[0], (std::pair<size_t, size_t>{0, 3}));
-  EXPECT_EQ(fp.intervals[1], (std::pair<size_t, size_t>{5, 9}));
-}
-
-// Brute-force oracle: expand both footprints to position sets over a
-// bounded universe and intersect. Normalize preserves the covered set,
-// so the oracle works on the raw intervals.
-bool OracleDisjoint(const Footprint& a, const Footprint& b, size_t universe) {
-  std::vector<bool> in_a(universe, a.whole_document);
-  std::vector<bool> in_b(universe, b.whole_document);
-  for (const auto& [begin, end] : a.intervals) {
-    for (size_t p = begin; p < end && p < universe; ++p) in_a[p] = true;
-  }
-  for (const auto& [begin, end] : b.intervals) {
-    for (size_t p = begin; p < end && p < universe; ++p) in_b[p] = true;
-  }
-  for (size_t p = 0; p < universe; ++p) {
-    if (in_a[p] && in_b[p]) return false;
-  }
-  return true;
-}
-
-TEST(FootprintTest, DisjointFuzzAgainstBruteForceOracle) {
-  static constexpr size_t kUniverse = 48;
-  SplitMix64 rng(0xF00D);
-  auto random_footprint = [&rng]() {
-    Footprint fp;
-    if (rng.NextBelow(20) == 0) {
-      fp.MakeWholeDocument();
-      return fp;
-    }
-    const size_t count = rng.NextBelow(5);
-    for (size_t i = 0; i < count; ++i) {
-      const size_t begin = rng.NextBelow(kUniverse - 1);
-      const size_t end = begin + 1 + rng.NextBelow(8);
-      fp.AddRange(begin, std::min(end, kUniverse));
-    }
-    fp.Normalize();
-    return fp;
-  };
-  for (int iter = 0; iter < 5000; ++iter) {
-    const Footprint a = random_footprint();
-    const Footprint b = random_footprint();
-    EXPECT_EQ(Disjoint(a, b), OracleDisjoint(a, b, kUniverse))
-        << "iteration " << iter;
-    EXPECT_EQ(Disjoint(a, b), Disjoint(b, a)) << "asymmetric at " << iter;
-  }
-}
-
-// --- Independence analysis -------------------------------------------------
-
-constexpr char kSections[] =
-    "<corpus>"
-    "<s0><item><v>a</v></item></s0>"
-    "<s1><item><v>b</v></item></s1>"
-    "<s2><item><v>c</v></item></s2>"
-    "</corpus>";
-
-// The document must not outlive its scheme; keep both together.
-struct DocFixture {
-  std::unique_ptr<labels::LabelingScheme> scheme;
-  std::unique_ptr<LabeledDocument> doc;
-  LabeledDocument& operator*() { return *doc; }
-};
-
-DocFixture BuildDoc(std::string_view xml) {
-  DocFixture fixture;
-  auto scheme = labels::CreateScheme("dewey");
-  EXPECT_TRUE(scheme.ok());
-  fixture.scheme = std::move(*scheme);
-  auto doc = LabeledDocument::Build(ParseOrDie(xml), fixture.scheme.get());
-  EXPECT_TRUE(doc.ok()) << doc.status().ToString();
-  fixture.doc = std::make_unique<LabeledDocument>(std::move(*doc));
-  return fixture;
-}
-
-std::vector<UpdateRequest> OneAction(std::vector<std::string> tokens) {
-  auto actions = ParseActionTokens(std::move(tokens));
-  EXPECT_TRUE(actions.ok()) << actions.status().ToString();
-  return std::move(*actions);
-}
-
-TEST(IndependenceTest, SetValueOnDistinctSectionsIsIndependent) {
-  auto doc = BuildDoc(kSections);
-  TransactionPlan p0 = PlanTransaction(
-      *doc, OneAction({"-u", "/s0/item/v/text()", "-v", "X"}));
-  TransactionPlan p1 = PlanTransaction(
-      *doc, OneAction({"-u", "/s1/item/v/text()", "-v", "Y"}));
-  ASSERT_TRUE(p0.usable);
-  ASSERT_TRUE(p1.usable);
-  ASSERT_EQ(p0.targets.size(), 1u);
-  EXPECT_EQ(p0.targets[0].matches.size(), 1u);
-  EXPECT_TRUE(Independent(p0, p1));
-  EXPECT_TRUE(Independent(p1, p0));
-}
-
-TEST(IndependenceTest, WriterUnderReadersPathConflicts) {
-  auto doc = BuildDoc(kSections);
-  // Deleting s1's item overlaps a read of anything resolved through s1.
-  TransactionPlan del =
-      PlanTransaction(*doc, OneAction({"-d", "/s1/item"}));
-  TransactionPlan read = PlanTransaction(
-      *doc, OneAction({"-u", "/s1/item/v/text()", "-v", "Y"}));
-  ASSERT_TRUE(del.usable);
-  ASSERT_TRUE(read.usable);
-  EXPECT_FALSE(Independent(del, read));
-}
-
-TEST(IndependenceTest, InsertSiblingConflictsWithSiblingResolution) {
-  auto doc = BuildDoc(kSections);
-  // Inserting a sibling of s1 writes subtree(root), which contains the
-  // frontier points every other resolution walks through.
-  TransactionPlan insert = PlanTransaction(
-      *doc, OneAction({"-i", "/s1", "-t", "elem", "-n", "snew"}));
-  TransactionPlan other = PlanTransaction(
-      *doc, OneAction({"-u", "/s0/item/v/text()", "-v", "X"}));
-  ASSERT_TRUE(insert.usable);
-  ASSERT_TRUE(other.usable);
-  EXPECT_FALSE(Independent(insert, other));
-}
-
-TEST(IndependenceTest, InsertChildIntoDistinctSectionsIsIndependent) {
-  auto doc = BuildDoc(kSections);
-  TransactionPlan a = PlanTransaction(
-      *doc, OneAction({"-s", "/s0/item", "-t", "elem", "-n", "extra"}));
-  TransactionPlan b = PlanTransaction(
-      *doc, OneAction({"-s", "/s2/item", "-t", "elem", "-n", "extra"}));
-  ASSERT_TRUE(a.usable);
-  ASSERT_TRUE(b.usable);
-  EXPECT_TRUE(Independent(a, b));
-}
-
-TEST(IndependenceTest, UpwardAxisFallsBackToWholeDocument) {
-  auto doc = BuildDoc(kSections);
-  TransactionPlan plan =
-      PlanTransaction(*doc, OneAction({"-d", "/s0/item/.."}));
-  EXPECT_FALSE(plan.usable);
-  EXPECT_TRUE(plan.reads.whole_document);
-  EXPECT_TRUE(plan.writes.whole_document);
-  TransactionPlan other = PlanTransaction(
-      *doc, OneAction({"-u", "/s1/item/v/text()", "-v", "Y"}));
-  EXPECT_FALSE(Independent(plan, other));
-}
-
-TEST(IndependenceTest, DescendantAxisChargesTheSubtreeItScans) {
-  auto doc = BuildDoc(kSections);
-  TransactionPlan scan = PlanTransaction(
-      *doc, OneAction({"-u", "/s0//v/text()", "-v", "X"}));
-  ASSERT_TRUE(scan.usable);
-  // The scan reads all of s0, so a write inside s0 conflicts...
-  TransactionPlan inside = PlanTransaction(
-      *doc, OneAction({"-s", "/s0/item", "-t", "elem", "-n", "x"}));
-  ASSERT_TRUE(inside.usable);
-  EXPECT_FALSE(Independent(scan, inside));
-  // ...while a write inside s1 does not.
-  TransactionPlan outside = PlanTransaction(
-      *doc, OneAction({"-s", "/s1/item", "-t", "elem", "-n", "x"}));
-  ASSERT_TRUE(outside.usable);
-  EXPECT_TRUE(Independent(scan, outside));
-}
-
-TEST(IndependenceTest, IntraTransactionReadAfterWriteIsUnusable) {
-  auto doc = BuildDoc(kSections);
-  // The second request resolves a path the first request's insert just
-  // changed; against the pinned view it would miss the new node.
-  TransactionPlan plan = PlanTransaction(
-      *doc, OneAction({"-s", "/s0/item", "-t", "elem", "-n", "c", "-u",
-                       "/s0/item/v/text()", "-v", "X"}));
-  EXPECT_FALSE(plan.usable);
-}
-
-TEST(IndependenceTest, ConservativeRelabelsChargesWholeDocumentWrites) {
-  auto doc = BuildDoc(kSections);
-  PlanOptions conservative;
-  conservative.conservative_relabels = true;
-  TransactionPlan structural = PlanTransaction(
-      *doc, OneAction({"-s", "/s0/item", "-t", "elem", "-n", "x"}),
-      conservative);
-  ASSERT_TRUE(structural.usable);
-  EXPECT_TRUE(structural.writes.whole_document);
-  // Value-only updates stay bounded even under the conservative mode.
-  TransactionPlan value = PlanTransaction(
-      *doc, OneAction({"-u", "/s1/item/v/text()", "-v", "Y"}),
-      conservative);
-  ASSERT_TRUE(value.usable);
-  EXPECT_FALSE(value.writes.whole_document);
-  EXPECT_FALSE(Independent(structural, value));
-}
-
-TEST(IndependenceTest, MarkConflictsIsPairwiseAndSingletonsNeverConflict) {
-  auto doc = BuildDoc(kSections);
-  TransactionPlan p0 = PlanTransaction(
-      *doc, OneAction({"-u", "/s0/item/v/text()", "-v", "X"}));
-  TransactionPlan p1 = PlanTransaction(
-      *doc, OneAction({"-u", "/s1/item/v/text()", "-v", "Y"}));
-  TransactionPlan clash =
-      PlanTransaction(*doc, OneAction({"-d", "/s1/item"}));
-
-  std::vector<TransactionPlan> solo;
-  solo.push_back(PlanTransaction(
-      *doc, OneAction({"-u", "/s0/item/v/text()", "-v", "X"})));
-  EXPECT_EQ(MarkConflicts(solo), std::vector<bool>{false});
-
-  std::vector<TransactionPlan> batch;
-  batch.push_back(std::move(p0));
-  batch.push_back(std::move(p1));
-  batch.push_back(std::move(clash));
-  const std::vector<bool> conflicted = MarkConflicts(batch);
-  ASSERT_EQ(conflicted.size(), 3u);
-  EXPECT_FALSE(conflicted[0]);  // s0 update touches nobody
-  EXPECT_TRUE(conflicted[1]);   // s1 update vs s1 delete
-  EXPECT_TRUE(conflicted[2]);
-}
-
-// Plan-level fuzz: for random pairs of single-request transactions, an
-// `Independent` verdict must imply order-insensitive application — the
-// final document is bit-identical whichever transaction applies first.
-TEST(IndependenceTest, IndependentPairsCommuteUnderApplication) {
-  constexpr char kDoc[] =
-      "<corpus>"
-      "<s0><item><v>a</v></item></s0>"
-      "<s1><item><v>b</v></item></s1>"
-      "<s2><item><v>c</v></item></s2>"
-      "<s3><item><v>d</v></item></s3>"
-      "</corpus>";
-  const std::vector<std::vector<std::string>> pool = {
-      {"-u", "/s0/item/v/text()", "-v", "A"},
-      {"-u", "/s1/item/v/text()", "-v", "B"},
-      {"-u", "/s2/item/v/text()", "-v", "C"},
-      {"-d", "/s0/item"},
-      {"-d", "/s2/item"},
-      {"-s", "/s1/item", "-t", "elem", "-n", "extra"},
-      {"-s", "/s3/item", "-t", "elem", "-n", "extra"},
-      {"-r", "/s3/item", "-v", "entry"},
-      {"-m", "/s0/item", "/s2"},
-  };
-  auto doc = BuildDoc(kDoc);
-  SplitMix64 rng(0xBEEF);
-  size_t independent_pairs = 0;
-  for (int iter = 0; iter < 120; ++iter) {
-    const auto& ta = pool[rng.NextBelow(pool.size())];
-    const auto& tb = pool[rng.NextBelow(pool.size())];
-    TransactionPlan pa = PlanTransaction(*doc, OneAction(ta));
-    TransactionPlan pb = PlanTransaction(*doc, OneAction(tb));
-    if (!Independent(pa, pb)) continue;
-    ++independent_pairs;
-    MemFileSystem fs_ab;
-    MemFileSystem fs_ba;
-    auto ab = MakeStore(&fs_ab, kDoc);
-    auto ba = MakeStore(&fs_ba, kDoc);
-    ASSERT_TRUE(Apply(ab.get(), ta).ok());
-    ASSERT_TRUE(Apply(ab.get(), tb).ok());
-    ASSERT_TRUE(Apply(ba.get(), tb).ok());
-    ASSERT_TRUE(Apply(ba.get(), ta).ok());
-    EXPECT_EQ(Serialize(ab->document()), Serialize(ba->document()))
-        << "independent pair does not commute: " << ta[1] << " vs " << tb[1];
-  }
-  EXPECT_GT(independent_pairs, 10u) << "fuzz never exercised the property";
 }
 
 }  // namespace

@@ -22,15 +22,17 @@
 #include <gtest/gtest.h>
 
 #include "concurrency/concurrent_store.h"
-#include "concurrency/update.h"
 #include "labels/registry.h"
 #include "store/file.h"
+#include "updates/update.h"
 #include "xml/parser.h"
 
 namespace xmlup::concurrency {
 namespace {
 
 using store::MemFileSystem;
+using updates::UpdateRequest;
+using updates::UpdateResult;
 
 // LSDX and Com-D reproduce the documented Sans & Laurent collision (see
 // lsdx_scheme_test.cc): under front insertions they assign duplicate

@@ -204,10 +204,24 @@ expect_exit2_quoting "apply: undefined variable" "undef.up:1:" '"${NOPE}"' \
 cmp -s "$WORK/apply-recovered.xml" "$WORK/after-bad-scripts.xml" \
   || fail "apply: failed scripts changed the store"
 
-# Remote form: the same script as one --apply frame, through a server
-# running the parallel-prepare stage.
+# Removed flags are usage errors, not silently accepted. --stdio on an
+# empty stdin keeps a regression from hanging.
+expect_exit2() {
+  msg="$1"; shift
+  if "$@" < /dev/null > /dev/null 2>&1; then
+    fail "$msg: expected exit 2, got success"
+  else
+    code=$?
+  fi
+  [ "$code" -eq 2 ] || fail "$msg: expected exit 2, got $code"
+}
+expect_exit2 "ed --no-sync" "$XMLUP" ed "$DIR" --no-sync -d shelf
+expect_exit2 "serve --apply-workers" \
+  "$XMLUP" serve "$DIR" --stdio --apply-workers 4
+
+# Remote form: the same script as one --apply frame.
 ASOCK="$WORK/apply.sock"
-"$XMLUP" serve "$DIR" --socket "$ASOCK" --apply-workers 4 &
+"$XMLUP" serve "$DIR" --socket "$ASOCK" &
 APPLY_PID=$!
 i=0
 until "$XMLUP" req --socket "$ASOCK" --ping > /dev/null 2>&1; do

@@ -23,7 +23,6 @@
 #include "cluster/sharded_service.h"
 #include "concurrency/concurrent_store.h"
 #include "concurrency/server.h"
-#include "concurrency/update.h"
 #include "core/labeled_document.h"
 #include "labels/registry.h"
 #include "observability/metrics.h"
@@ -54,7 +53,7 @@ int Usage() {
 usage:
   xmlup init <dir> --scheme <name> [--xml <file>]
       create a store at <dir> labelling <file> (default: an empty <root/>)
-  xmlup ed <dir> [--print] [--labels] [--no-sync] {<action>}...
+  xmlup ed <dir> [--print] [--labels] {<action>}...
       apply structural edits; actions are executed in order:
         -i <xpath> -t elem|attr|text|comment -n <name> [-v <value>]
             insert a new sibling before each match
@@ -105,16 +104,12 @@ usage:
   xmlup damage <dir> --truncate <n> | --flip <byte>[:<bit>]
       deliberately tear or corrupt the live journal (crash simulation)
   xmlup serve <dir> --socket <path> | --tcp <host:port> | --stdio
-              [--queue <n>] [--batch <n>] [--apply-workers <n>]
+              [--queue <n>] [--batch <n>]
       serve the store to concurrent clients: snapshot-isolated reads,
       single-writer group commit; requests use the wire protocol
       (length-prefixed action/query frames — see `xmlup req`); a
       socket server is also a replication primary: replicas subscribe
-      over the same socket. --apply-workers <n> turns on the
-      parallel-prepare stage: each group-commit batch's XPath
-      resolution and independence analysis fan out over n lanes, and
-      provably disjoint transactions skip re-resolution (journal
-      bytes stay identical to a serial apply)
+      over the same socket
   xmlup serve <dir> --corpus --socket <path> | --tcp <host:port>
               [--sync-repl]
       serve a corpus of documents (one store per subdirectory) as a
@@ -278,9 +273,6 @@ int CmdEd(int argc, char** argv) {
       print = true;
     } else if (arg == "--labels") {
       labels = true;
-    } else if (arg == "--no-sync") {
-      // Historical flag: scripts now always commit with one sync at the
-      // end (group commit), which is what --no-sync used to request.
     } else {
       tokens.push_back(std::move(arg));
     }
@@ -368,11 +360,6 @@ int CmdServe(int argc, char** argv) {
       if (!ParseCountFor("serve", "--queue", argv[++i], &options.queue_capacity)) return 2;
     } else if (arg == "--batch" && i + 1 < argc) {
       if (!ParseCountFor("serve", "--batch", argv[++i], &options.max_batch)) return 2;
-    } else if (arg == "--apply-workers" && i + 1 < argc) {
-      if (!ParseCountFor("serve", "--apply-workers", argv[++i],
-                         &options.apply_workers)) {
-        return 2;
-      }
     } else {
       return Usage();
     }
