@@ -62,7 +62,7 @@ size_t LabelIndex::LowerBound(const Label& label) const {
 size_t LabelIndex::PositionOf(NodeId node) const {
   // The node's own key is always cached (either mode), so this stays a
   // pure memcmp binary search.
-  const std::string& key = doc_->order_key(node);
+  const std::string_view key = doc_->order_key(node);
   size_t lo = 0, hi = entries_.size();
   while (lo < hi) {
     size_t mid = lo + (hi - lo) / 2;
@@ -140,7 +140,7 @@ std::vector<NodeId> LabelIndex::Range(const Label& after,
 
 void LabelIndex::Insert(NodeId node) {
   // Lower bound over the node's cached key (valid in both key modes).
-  const std::string& key = doc_->order_key(node);
+  const std::string_view key = doc_->order_key(node);
   size_t lo = 0, hi = entries_.size();
   while (lo < hi) {
     size_t mid = lo + (hi - lo) / 2;

@@ -266,27 +266,31 @@ void LabeledDocument::NoteInsert(
     return;
   }
   order_keys_.resize(labels_.size());
-  bool ok = RefreshOrderKey(node);
+  std::string scratch;
+  bool ok = RefreshOrderKey(node, &scratch);
   for (const auto& [id, fresh] : relabeled) {
     (void)fresh;
-    ok = ok && RefreshOrderKey(id);
+    ok = ok && RefreshOrderKey(id, &scratch);
   }
   if (!ok) order_keys_built_ = false;
 }
 
-bool LabeledDocument::RefreshOrderKey(NodeId node) const {
-  std::string* key = &order_keys_[node];
-  key->clear();
-  return scheme_->OrderKey(labels_[node], key);
+bool LabeledDocument::RefreshOrderKey(NodeId node,
+                                      std::string* scratch) const {
+  scratch->clear();
+  if (!scheme_->OrderKey(labels_[node], scratch)) return false;
+  order_keys_[node] = labels::SmallBytes(*scratch);
+  return true;
 }
 
 void LabeledDocument::EnsureOrderKeys() const {
   if (order_keys_built_) return;
   std::vector<NodeId> order = tree_.PreorderNodes();
-  order_keys_.assign(labels_.size(), std::string());
+  order_keys_.assign(labels_.size(), labels::SmallBytes());
   order_keys_native_ = true;
+  std::string scratch;
   for (NodeId n : order) {
-    if (!RefreshOrderKey(n)) {
+    if (!RefreshOrderKey(n, &scratch)) {
       order_keys_native_ = false;
       break;
     }
@@ -296,17 +300,17 @@ void LabeledDocument::EnsureOrderKeys() const {
     // back to big-endian preorder ranks, sound because label order equals
     // document order by system invariant (VerifyOrderAndUniqueness).
     for (size_t i = 0; i < order.size(); ++i) {
-      std::string* key = &order_keys_[order[i]];
-      key->clear();
-      labels::AppendBigEndian(i, 8, key);
+      scratch.clear();
+      labels::AppendBigEndian(i, 8, &scratch);
+      order_keys_[order[i]] = labels::SmallBytes(scratch);
     }
   }
   order_keys_built_ = true;
 }
 
-const std::string& LabeledDocument::order_key(NodeId node) const {
+std::string_view LabeledDocument::order_key(NodeId node) const {
   EnsureOrderKeys();
-  return order_keys_[node];
+  return order_keys_[node].view();
 }
 
 bool LabeledDocument::order_keys_native() const {

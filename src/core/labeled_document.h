@@ -4,10 +4,12 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
 #include "labels/scheme.h"
+#include "labels/small_bytes.h"
 #include "observability/metrics.h"
 #include "xml/tree.h"
 
@@ -185,8 +187,9 @@ class LabeledDocument {
   /// of two keys equals scheme().Compare() on the underlying labels. Built
   /// lazily for all live nodes on first use and kept in sync across
   /// updates — relabel and overflow events from InsertOutcome invalidate
-  /// exactly the affected entries, so a returned key is never stale.
-  const std::string& order_key(xml::NodeId node) const;
+  /// exactly the affected entries, so a returned key is never stale. The
+  /// view stays valid until the next structural update.
+  std::string_view order_key(xml::NodeId node) const;
 
   /// True when keys come from the scheme's own OrderKey encoding (and can
   /// therefore be derived for arbitrary labels, not just cached nodes).
@@ -204,9 +207,10 @@ class LabeledDocument {
                   std::vector<labels::Label> labels);
 
   void EnsureOrderKeys() const;
-  // Recomputes the cached key for one node; false if the scheme failed to
-  // produce one (forces a full rebuild on next access).
-  bool RefreshOrderKey(xml::NodeId node) const;
+  // Recomputes the cached key for one node, encoding it into `scratch`
+  // first; false if the scheme failed to produce one (forces a full
+  // rebuild on next access).
+  bool RefreshOrderKey(xml::NodeId node, std::string* scratch) const;
   // Applies cache invalidation for an insert that assigned `node` and
   // relabelled `relabeled`.
   void NoteInsert(xml::NodeId node,
@@ -220,7 +224,9 @@ class LabeledDocument {
   DocMetricCells metrics_;
 
   uint64_t version_ = 0;
-  mutable std::vector<std::string> order_keys_;
+  // Keys are short (ORDPATH averages under 10 bytes), so a SmallBytes
+  // holds nearly all of them inline.
+  mutable std::vector<labels::SmallBytes> order_keys_;
   mutable bool order_keys_built_ = false;
   mutable bool order_keys_native_ = false;
   mutable std::unique_ptr<LabelIndex> query_index_;

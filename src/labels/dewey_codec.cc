@@ -67,7 +67,7 @@ int DeweyCodec::Compare(std::string_view a, std::string_view b) const {
 bool DeweyCodec::OrderKey(std::string_view code, std::string* out) const {
   uint32_t v = 0;
   if (!Unpack(code, &v)) return false;
-  AppendBigEndian(v, 4, out);
+  AppendOrderedUint(v, out);
   return true;
 }
 

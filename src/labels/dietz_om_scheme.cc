@@ -39,7 +39,7 @@ Label DietzOmScheme::Encode(const Tags& tags) {
 }
 
 bool DietzOmScheme::Decode(const Label& label, Tags* tags) {
-  const std::string& bytes = label.bytes();
+  std::string_view bytes = label.bytes();
   if (bytes.size() != 18) return false;
   tags->begin = 0;
   tags->end = 0;

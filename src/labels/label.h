@@ -3,8 +3,9 @@
 
 #include <cstddef>
 #include <functional>
-#include <string>
-#include <utility>
+#include <string_view>
+
+#include "labels/small_bytes.h"
 
 namespace xmlup::labels {
 
@@ -12,29 +13,34 @@ namespace xmlup::labels {
 /// the labelling scheme that produced it (Definition 1 of the paper). A
 /// default-constructed (empty) Label means "no label assigned"; schemes
 /// guarantee that every assigned label has a non-empty byte representation.
+///
+/// A label is a SmallBytes: labels of up to 31 bytes (every label of the
+/// fixed-width schemes, and nearly all prefix labels) cost no heap block.
 class Label {
  public:
   Label() = default;
-  explicit Label(std::string bytes) : bytes_(std::move(bytes)) {}
+  explicit Label(std::string_view bytes) : bytes_(bytes) {}
 
   Label(const Label&) = default;
   Label& operator=(const Label&) = default;
   Label(Label&&) = default;
   Label& operator=(Label&&) = default;
 
-  const std::string& bytes() const { return bytes_; }
+  std::string_view bytes() const { return bytes_.view(); }
   bool empty() const { return bytes_.empty(); }
   size_t size() const { return bytes_.size(); }
 
   friend bool operator==(const Label& a, const Label& b) = default;
 
  private:
-  std::string bytes_;
+  SmallBytes bytes_;
 };
+
+static_assert(sizeof(Label) <= 32, "a Label must stay one SmallBytes");
 
 struct LabelHash {
   size_t operator()(const Label& l) const {
-    return std::hash<std::string>()(l.bytes());
+    return std::hash<std::string_view>()(l.bytes());
   }
 };
 

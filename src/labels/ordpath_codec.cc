@@ -152,12 +152,10 @@ int OrdpathCodec::Compare(std::string_view a, std::string_view b) const {
 }
 
 bool OrdpathCodec::OrderKey(std::string_view code, std::string* out) const {
-  // Sign-flipped big-endian per component: memcmp over the concatenation
-  // reproduces the componentwise signed comparison, with a shorter
-  // (caret-prefix) code sorting first.
-  for (int64_t c : Unpack(code)) {
-    AppendBigEndian(static_cast<uint64_t>(c) ^ (1ULL << 63), 8, out);
-  }
+  // One compact signed key per component: the keys are prefix-free, so
+  // memcmp over the concatenation reproduces the componentwise signed
+  // comparison, with a shorter (caret-prefix) code sorting first.
+  for (int64_t c : Unpack(code)) AppendOrderedInt(c, out);
   return true;
 }
 

@@ -191,14 +191,14 @@ class ComponentCursor {
       remaining_ = 0;
       return false;
     }
-    *component = std::string_view(bytes_).substr(pos_, len);
+    *component = bytes_.substr(pos_, len);
     pos_ += len;
     --remaining_;
     return true;
   }
 
  private:
-  const std::string& bytes_;
+  std::string_view bytes_;
   size_t pos_ = 0;
   uint64_t remaining_ = 0;
 };

@@ -36,7 +36,7 @@ Label PrePostGapScheme::Encode(const Ranks& ranks) {
 }
 
 bool PrePostGapScheme::Decode(const Label& label, Ranks* ranks) {
-  const std::string& bytes = label.bytes();
+  std::string_view bytes = label.bytes();
   if (bytes.size() != 18) return false;
   ranks->pre = 0;
   ranks->post = 0;

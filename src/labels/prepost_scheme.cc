@@ -35,7 +35,7 @@ Label PrePostScheme::Encode(const Ranks& ranks) {
 }
 
 bool PrePostScheme::Decode(const Label& label, Ranks* ranks) {
-  const std::string& bytes = label.bytes();
+  std::string_view bytes = label.bytes();
   if (bytes.size() != 10) return false;
   ranks->pre = 0;
   ranks->post = 0;

@@ -41,7 +41,7 @@ Label SectorScheme::Encode(const Sector& sector) {
 }
 
 bool SectorScheme::Decode(const Label& label, Sector* sector) {
-  const std::string& bytes = label.bytes();
+  std::string_view bytes = label.bytes();
   if (bytes.size() != 16) return false;
   sector->lo = 0;
   sector->hi = 0;

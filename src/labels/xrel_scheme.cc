@@ -35,7 +35,7 @@ Label XRelScheme::Encode(const Region& region) {
 }
 
 bool XRelScheme::Decode(const Label& label, Region* region) {
-  const std::string& bytes = label.bytes();
+  std::string_view bytes = label.bytes();
   if (bytes.size() != 10) return false;
   region->start = 0;
   region->end = 0;

@@ -16,6 +16,7 @@
 
 #include "concurrency/concurrent_store.h"
 #include "store/file.h"
+#include "support/label_bytes.h"
 #include "updates/update.h"
 #include "xml/parser.h"
 
@@ -25,6 +26,7 @@ namespace {
 using store::MemFileSystem;
 using updates::UpdateRequest;
 using updates::UpdateResult;
+using test_support::LabelBytes;
 
 std::string Name(const char* prefix, int i) {
   std::string out = prefix;
@@ -37,15 +39,6 @@ xml::Tree BaseTree() {
       "<root><a>alpha</a><b>beta</b><c>gamma</c></root>");
   EXPECT_TRUE(tree.ok());
   return std::move(*tree);
-}
-
-std::vector<std::string> ViewLabels(const ReadView& view) {
-  std::vector<std::string> out;
-  const core::LabeledDocument& doc = view.document();
-  for (xml::NodeId n : doc.tree().PreorderNodes()) {
-    out.push_back(doc.label(n).bytes());
-  }
-  return out;
 }
 
 class ConcurrentStressTest : public ::testing::TestWithParam<std::string> {};
@@ -85,7 +78,7 @@ TEST_P(ConcurrentStressTest, PinnedViewsStayBitIdenticalAcrossCheckpoints) {
         // Freeze the view's state, keep the pin across a few writer
         // batches, then re-read: every byte must be unchanged.
         auto xml_before = view->SerializeXml();
-        auto labels_before = ViewLabels(*view);
+        auto labels_before = LabelBytes(view->document());
         auto hits_before = view->Query("//*");
         if (!xml_before.ok() || !hits_before.ok()) {
           ++reader_failures;
@@ -95,8 +88,8 @@ TEST_P(ConcurrentStressTest, PinnedViewsStayBitIdenticalAcrossCheckpoints) {
         auto xml_after = view->SerializeXml();
         auto hits_after = view->Query("//*");
         if (!xml_after.ok() || *xml_after != *xml_before ||
-            ViewLabels(*view) != labels_before || !hits_after.ok() ||
-            *hits_after != *hits_before) {
+            LabelBytes(view->document()) != labels_before ||
+            !hits_after.ok() || *hits_after != *hits_before) {
           ++reader_failures;
           return;
         }

@@ -16,6 +16,7 @@
 #include "store/document_store.h"
 #include "store/file.h"
 #include "store/journal.h"
+#include "support/label_bytes.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 
@@ -27,6 +28,7 @@ using store::DocumentStore;
 using store::MemFileSystem;
 using store::StoreOptions;
 using xml::NodeId;
+using test_support::LabelBytes;
 
 constexpr char kBaseDoc[] =
     "<library><shelf id=\"a\"><book><title>Iliad</title></book>"
@@ -77,14 +79,6 @@ class Recorder : public core::UpdateObserver {
 
   std::vector<RecordedOp> ops;
 };
-
-std::vector<std::string> LabelBytes(const LabeledDocument& doc) {
-  std::vector<std::string> out;
-  for (NodeId n : doc.tree().PreorderNodes()) {
-    out.push_back(doc.label(n).bytes());
-  }
-  return out;
-}
 
 std::string Serialize(const LabeledDocument& doc) {
   auto text = xml::SerializeDocument(doc.tree());

@@ -8,6 +8,7 @@
 
 #include <filesystem>
 
+#include "support/label_bytes.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 
@@ -19,6 +20,7 @@ using store::DocumentStore;
 using store::MemFileSystem;
 using store::StoreOptions;
 using xml::NodeId;
+using test_support::LabelBytes;
 
 constexpr char kDoc[] =
     "<library><shelf id=\"a\"><book><title>Iliad</title></book></shelf>"
@@ -34,16 +36,6 @@ std::string Serialize(const LabeledDocument& doc) {
   auto text = xml::SerializeDocument(doc.tree());
   EXPECT_TRUE(text.ok());
   return *text;
-}
-
-// All live labels in preorder, as raw bytes — the bit-identical currency
-// the recovery tests compare in.
-std::vector<std::string> LabelBytes(const LabeledDocument& doc) {
-  std::vector<std::string> out;
-  for (NodeId n : doc.tree().PreorderNodes()) {
-    out.push_back(doc.label(n).bytes());
-  }
-  return out;
 }
 
 TEST(DocumentStoreTest, CreateThenOpenRestoresDocumentAndLabels) {

@@ -16,6 +16,7 @@
 #include "observability/metrics.h"
 #include "store/document_store.h"
 #include "store/file.h"
+#include "support/label_bytes.h"
 #include "workload/document_generator.h"
 #include "xml/serializer.h"
 
@@ -26,6 +27,7 @@ using common::SplitMix64;
 using common::Status;
 using xml::NodeId;
 using xml::NodeKind;
+using test_support::LabelBytes;
 
 struct FuzzCase {
   std::string scheme;
@@ -201,14 +203,6 @@ std::string Serialize(const LabeledDocument& doc) {
   auto text = xml::SerializeDocument(doc.tree());
   EXPECT_TRUE(text.ok());
   return *text;
-}
-
-std::vector<std::string> LabelBytes(const LabeledDocument& doc) {
-  std::vector<std::string> out;
-  for (NodeId n : doc.tree().PreorderNodes()) {
-    out.push_back(doc.label(n).bytes());
-  }
-  return out;
 }
 
 std::vector<FuzzCase> JournaledCases() {

@@ -26,6 +26,7 @@
 #include "replication/source.h"
 #include "store/document_store.h"
 #include "store/file.h"
+#include "support/label_bytes.h"
 #include "updates/update.h"
 #include "xml/parser.h"
 
@@ -36,6 +37,7 @@ using concurrency::ConcurrentStore;
 using concurrency::ConcurrentStoreOptions;
 using updates::UpdateRequest;
 using store::MemFileSystem;
+using test_support::LabelBytes;
 
 // Built with += rather than operator+: GCC 12's -Werror=restrict
 // misfires on the inlined char*+string concatenation under -fsanitize.
@@ -49,14 +51,6 @@ xml::Tree ParseOrDie(std::string_view text) {
   auto tree = xml::ParseDocument(text);
   EXPECT_TRUE(tree.ok()) << tree.status().ToString();
   return std::move(*tree);
-}
-
-std::vector<std::string> LabelBytes(const core::LabeledDocument& doc) {
-  std::vector<std::string> out;
-  for (xml::NodeId n : doc.tree().PreorderNodes()) {
-    out.push_back(doc.label(n).bytes());
-  }
-  return out;
 }
 
 // One primary + N replica slots over a real Unix socket, reusable per

@@ -24,6 +24,7 @@
 #include "store/file.h"
 #include "store/journal.h"
 #include "store/journal_cursor.h"
+#include "support/label_bytes.h"
 #include "updates/update.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
@@ -38,6 +39,7 @@ using store::DocumentStore;
 using store::JournalCursor;
 using store::MemFileSystem;
 using store::StoreOptions;
+using test_support::LabelBytes;
 
 xml::Tree ParseOrDie(std::string_view text) {
   auto tree = xml::ParseDocument(text);
@@ -49,14 +51,6 @@ std::string Serialize(const core::LabeledDocument& doc) {
   auto text = xml::SerializeDocument(doc.tree());
   EXPECT_TRUE(text.ok());
   return *text;
-}
-
-std::vector<std::string> LabelBytes(const core::LabeledDocument& doc) {
-  std::vector<std::string> out;
-  for (xml::NodeId n : doc.tree().PreorderNodes()) {
-    out.push_back(doc.label(n).bytes());
-  }
-  return out;
 }
 
 UpdateRequest InsertChild(std::string xpath, std::string name) {

@@ -24,6 +24,7 @@
 #include "concurrency/concurrent_store.h"
 #include "labels/registry.h"
 #include "store/file.h"
+#include "support/label_bytes.h"
 #include "updates/update.h"
 #include "xml/parser.h"
 
@@ -33,6 +34,7 @@ namespace {
 using store::MemFileSystem;
 using updates::UpdateRequest;
 using updates::UpdateResult;
+using test_support::LabelBytes;
 
 // LSDX and Com-D reproduce the documented Sans & Laurent collision (see
 // lsdx_scheme_test.cc): under front insertions they assign duplicate
@@ -66,15 +68,6 @@ xml::Tree BaseTree() {
       "<root><a>alpha</a><b>beta</b><c>gamma</c></root>");
   EXPECT_TRUE(tree.ok());
   return std::move(*tree);
-}
-
-std::vector<std::string> ViewLabels(const ReadView& view) {
-  std::vector<std::string> out;
-  const core::LabeledDocument& doc = view.document();
-  for (xml::NodeId n : doc.tree().PreorderNodes()) {
-    out.push_back(doc.label(n).bytes());
-  }
-  return out;
 }
 
 UpdateRequest Insert(UpdateRequest::Op op, std::string xpath,
@@ -157,7 +150,8 @@ void ExpectViewsIdentical(const ReadView& delta_view,
   auto snap_xml = snap_view.SerializeXml();
   ASSERT_TRUE(delta_xml.ok() && snap_xml.ok());
   ASSERT_EQ(*delta_xml, *snap_xml) << "XML diverged at step " << step;
-  ASSERT_EQ(ViewLabels(delta_view), ViewLabels(snap_view))
+  ASSERT_EQ(LabelBytes(delta_view.document()),
+            LabelBytes(snap_view.document()))
       << "labels diverged at step " << step;
   auto delta_hits = delta_view.Query("//a");
   auto snap_hits = snap_view.Query("//a");
