@@ -32,25 +32,11 @@ Status LabelIndex::Refresh() {
 
 size_t LabelIndex::LowerBound(const Label& label) const {
   std::string key;
-  if (doc_->order_keys_native() && doc_->scheme().OrderKey(label, &key)) {
-    size_t lo = 0, hi = entries_.size();
-    while (lo < hi) {
-      size_t mid = lo + (hi - lo) / 2;
-      if (doc_->order_key(entries_[mid]) < key) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
-  }
-  // Rank-fallback keys cannot be derived for an arbitrary label; compare
-  // through the scheme instead.
-  const labels::LabelingScheme& scheme = doc_->scheme();
+  doc_->scheme().OrderKey(label, &key);
   size_t lo = 0, hi = entries_.size();
   while (lo < hi) {
     size_t mid = lo + (hi - lo) / 2;
-    if (scheme.Compare(doc_->label(entries_[mid]), label) < 0) {
+    if (doc_->order_key(entries_[mid]) < key) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -60,8 +46,8 @@ size_t LabelIndex::LowerBound(const Label& label) const {
 }
 
 size_t LabelIndex::PositionOf(NodeId node) const {
-  // The node's own key is always cached (either mode), so this stays a
-  // pure memcmp binary search.
+  // The node's own key is always cached, so this stays a pure memcmp
+  // binary search.
   const std::string_view key = doc_->order_key(node);
   size_t lo = 0, hi = entries_.size();
   while (lo < hi) {

@@ -6,7 +6,6 @@
 
 #include "common/rng.h"
 #include "core/label_index.h"
-#include "labels/order_key.h"
 
 namespace xmlup::core {
 
@@ -38,8 +37,7 @@ LabeledDocument::LabeledDocument(LabeledDocument&& other) noexcept
       metrics_(other.metrics_),
       version_(other.version_),
       order_keys_(std::move(other.order_keys_)),
-      order_keys_built_(other.order_keys_built_),
-      order_keys_native_(other.order_keys_native_) {}
+      order_keys_built_(other.order_keys_built_) {}
 
 LabeledDocument& LabeledDocument::operator=(LabeledDocument&& other) noexcept {
   tree_ = std::move(other.tree_);
@@ -50,7 +48,6 @@ LabeledDocument& LabeledDocument::operator=(LabeledDocument&& other) noexcept {
   version_ = other.version_;
   order_keys_ = std::move(other.order_keys_);
   order_keys_built_ = other.order_keys_built_;
-  order_keys_native_ = other.order_keys_native_;
   query_index_.reset();
   return *this;
 }
@@ -63,7 +60,6 @@ LabeledDocument LabeledDocument::CloneForView(
   copy.version_ = version_;
   copy.order_keys_ = order_keys_;
   copy.order_keys_built_ = order_keys_built_;
-  copy.order_keys_native_ = order_keys_native_;
   return copy;
 }
 
@@ -171,9 +167,8 @@ Result<NodeId> LabeledDocument::InsertSubtree(NodeId parent,
 
 Status LabeledDocument::RemoveSubtree(NodeId node) {
   XMLUP_RETURN_NOT_OK(tree_.RemoveSubtree(node));
-  // Cached keys of surviving nodes remain valid: native keys depend only
-  // on each node's own label, and rank-fallback keys keep their relative
-  // order when entries disappear. Only the version moves.
+  // Cached keys of surviving nodes remain valid: a key depends only on
+  // its node's own label. Only the version moves.
   ++version_;
   metrics_.removes->Add(1);
   for (UpdateObserver* observer : observers_) {
@@ -212,14 +207,12 @@ Status LabeledDocument::ApplyDeltaInsert(NodeId expect_node, NodeId parent,
   labels_.resize(tree_.arena_size());
   labels_[node] = label;
   NoteInsert(node, {});
-  if (index_fresh && order_keys_built_) {
-    // Native order keys were refreshed for the new node only; the ordered
-    // sequence admits an O(log n + moved) incremental insertion.
+  if (index_fresh) {
+    // An index in sync before the update admits an O(log n + moved)
+    // incremental insertion of the new node.
     query_index_->Insert(node);
     query_index_version_ = version_;
   } else {
-    // Rank-fallback keys were invalidated wholesale; rebuild the index
-    // from scratch on the next query (or prewarm).
     query_index_.reset();
   }
   return Status::Ok();
@@ -260,50 +253,25 @@ void LabeledDocument::NoteInsert(
     NodeId node, const std::vector<std::pair<NodeId, Label>>& relabeled) {
   ++version_;
   if (!order_keys_built_) return;
-  if (!order_keys_native_) {
-    // Rank keys shift on any insertion; rebuild lazily on next access.
-    order_keys_built_ = false;
-    return;
-  }
   order_keys_.resize(labels_.size());
   std::string scratch;
-  bool ok = RefreshOrderKey(node, &scratch);
-  for (const auto& [id, fresh] : relabeled) {
-    (void)fresh;
-    ok = ok && RefreshOrderKey(id, &scratch);
-  }
-  if (!ok) order_keys_built_ = false;
+  RefreshOrderKey(node, &scratch);
+  for (const auto& entry : relabeled) RefreshOrderKey(entry.first, &scratch);
 }
 
-bool LabeledDocument::RefreshOrderKey(NodeId node,
+void LabeledDocument::RefreshOrderKey(NodeId node,
                                       std::string* scratch) const {
   scratch->clear();
-  if (!scheme_->OrderKey(labels_[node], scratch)) return false;
+  scheme_->OrderKey(labels_[node], scratch);
   order_keys_[node] = labels::SmallBytes(*scratch);
-  return true;
 }
 
 void LabeledDocument::EnsureOrderKeys() const {
   if (order_keys_built_) return;
-  std::vector<NodeId> order = tree_.PreorderNodes();
   order_keys_.assign(labels_.size(), labels::SmallBytes());
-  order_keys_native_ = true;
   std::string scratch;
-  for (NodeId n : order) {
-    if (!RefreshOrderKey(n, &scratch)) {
-      order_keys_native_ = false;
-      break;
-    }
-  }
-  if (!order_keys_native_) {
-    // The scheme has no memcmp encoding (e.g. rational compares): fall
-    // back to big-endian preorder ranks, sound because label order equals
-    // document order by system invariant (VerifyOrderAndUniqueness).
-    for (size_t i = 0; i < order.size(); ++i) {
-      scratch.clear();
-      labels::AppendBigEndian(i, 8, &scratch);
-      order_keys_[order[i]] = labels::SmallBytes(scratch);
-    }
+  for (NodeId n = 0; n < labels_.size(); ++n) {
+    if (tree_.IsValid(n)) RefreshOrderKey(n, &scratch);
   }
   order_keys_built_ = true;
 }
@@ -311,11 +279,6 @@ void LabeledDocument::EnsureOrderKeys() const {
 std::string_view LabeledDocument::order_key(NodeId node) const {
   EnsureOrderKeys();
   return order_keys_[node].view();
-}
-
-bool LabeledDocument::order_keys_native() const {
-  EnsureOrderKeys();
-  return order_keys_native_;
 }
 
 Result<const LabelIndex*> LabeledDocument::query_index() const {

@@ -191,12 +191,6 @@ class LabeledDocument {
   /// view stays valid until the next structural update.
   std::string_view order_key(xml::NodeId node) const;
 
-  /// True when keys come from the scheme's own OrderKey encoding (and can
-  /// therefore be derived for arbitrary labels, not just cached nodes).
-  /// False means the rank fallback: big-endian preorder ranks, valid only
-  /// for live nodes and rebuilt wholesale after any insertion.
-  bool order_keys_native() const;
-
   /// The document's cached LabelIndex, built on first use and rebuilt
   /// lazily after structural updates. The pointer is owned by the document
   /// and stays valid until the next structural update (or move).
@@ -208,9 +202,8 @@ class LabeledDocument {
 
   void EnsureOrderKeys() const;
   // Recomputes the cached key for one node, encoding it into `scratch`
-  // first; false if the scheme failed to produce one (forces a full
-  // rebuild on next access).
-  bool RefreshOrderKey(xml::NodeId node, std::string* scratch) const;
+  // first.
+  void RefreshOrderKey(xml::NodeId node, std::string* scratch) const;
   // Applies cache invalidation for an insert that assigned `node` and
   // relabelled `relabeled`.
   void NoteInsert(xml::NodeId node,
@@ -228,7 +221,6 @@ class LabeledDocument {
   // holds nearly all of them inline.
   mutable std::vector<labels::SmallBytes> order_keys_;
   mutable bool order_keys_built_ = false;
-  mutable bool order_keys_native_ = false;
   mutable std::unique_ptr<LabelIndex> query_index_;
   mutable uint64_t query_index_version_ = 0;
 };

@@ -86,10 +86,9 @@ int ImprovedBinaryCodec::Compare(std::string_view a,
   return DigitCompare(a, b);
 }
 
-bool ImprovedBinaryCodec::OrderKey(std::string_view code, std::string* out) const {
+void ImprovedBinaryCodec::OrderKey(std::string_view code, std::string* out) const {
   // DigitCompare is plain lexicographic order over the raw digits.
   out->append(code);
-  return true;
 }
 
 size_t ImprovedBinaryCodec::StorageBits(std::string_view code) const {
@@ -144,10 +143,9 @@ int CdbsCodec::Compare(std::string_view a, std::string_view b) const {
   return DigitCompare(a, b);
 }
 
-bool CdbsCodec::OrderKey(std::string_view code, std::string* out) const {
+void CdbsCodec::OrderKey(std::string_view code, std::string* out) const {
   // DigitCompare is plain lexicographic order over the raw digits.
   out->append(code);
-  return true;
 }
 
 size_t CdbsCodec::StorageBits(std::string_view code) const {

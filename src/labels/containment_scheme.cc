@@ -152,12 +152,12 @@ int ContainmentScheme::Compare(const Label& a, const Label& b) const {
   return codec_->Compare(be, ae);
 }
 
-bool ContainmentScheme::OrderKey(const Label& label, std::string* out) const {
+void ContainmentScheme::OrderKey(const Label& label, std::string* out) const {
   // Document order is the order of the begin codes (ends only break the
   // self-comparison tie), so the begin code's key is the label's key.
   std::string begin, end;
-  if (!Split(label, &begin, &end)) return false;
-  return codec_->OrderKey(begin, out);
+  if (!Split(label, &begin, &end)) return;
+  codec_->OrderKey(begin, out);
 }
 
 bool ContainmentScheme::IsAncestor(const Label& ancestor,

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "common/varint.h"
+#include "labels/order_key.h"
 
 namespace xmlup::labels {
 
@@ -181,6 +182,17 @@ int DdeScheme::Compare(const Label& a, const Label& b) const {
   }
   if (u.size() == v.size()) return 0;
   return u.size() < v.size() ? -1 : 1;  // Ancestor (prefix) first.
+}
+
+void DdeScheme::OrderKey(const Label& label, std::string* out) const {
+  const std::vector<uint64_t> u = DecodeComponents(label);
+  if (u.empty() || u[0] == 0) return;
+  std::string ratio;
+  for (size_t k = 1; k < u.size(); ++k) {
+    ratio.clear();
+    AppendRatioKey(u[k], u[0], &ratio);
+    AppendOrderKeyComponent(ratio, out);
+  }
 }
 
 bool DdeScheme::IsAncestor(const Label& ancestor,

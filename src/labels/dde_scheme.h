@@ -46,6 +46,11 @@ class DdeScheme final : public LabelingScheme {
       const xml::Tree& tree, xml::NodeId node,
       const std::vector<Label>& labels) const override;
   int Compare(const Label& a, const Label& b) const override;
+  /// One ratio key (AppendRatioKey) per u[k]/u[0], k >= 1, each escaped
+  /// and terminated by AppendOrderKeyComponent so that an ancestor sorts
+  /// first. Every label has u[0] >= 1: the root is (1), and an insert only
+  /// ever adds to a neighbour's components.
+  void OrderKey(const Label& label, std::string* out) const override;
   bool IsAncestor(const Label& ancestor, const Label& descendant) const override;
   bool IsParent(const Label& parent, const Label& child) const override;
   bool IsSibling(const Label& a, const Label& b) const override;

@@ -64,11 +64,10 @@ int DeweyCodec::Compare(std::string_view a, std::string_view b) const {
   return va < vb ? -1 : (va > vb ? 1 : 0);
 }
 
-bool DeweyCodec::OrderKey(std::string_view code, std::string* out) const {
+void DeweyCodec::OrderKey(std::string_view code, std::string* out) const {
   uint32_t v = 0;
-  if (!Unpack(code, &v)) return false;
+  if (!Unpack(code, &v)) return;
   AppendOrderedUint(v, out);
-  return true;
 }
 
 size_t DeweyCodec::StorageBits(std::string_view /*code*/) const { return 32; }

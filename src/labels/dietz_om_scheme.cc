@@ -294,11 +294,10 @@ int DietzOmScheme::Compare(const Label& a, const Label& b) const {
   return ta.begin < tb.begin ? -1 : (ta.begin > tb.begin ? 1 : 0);
 }
 
-bool DietzOmScheme::OrderKey(const Label& label, std::string* out) const {
+void DietzOmScheme::OrderKey(const Label& label, std::string* out) const {
   Tags t;
-  if (!Decode(label, &t)) return false;
+  if (!Decode(label, &t)) return;
   AppendBigEndian(t.begin, 8, out);
-  return true;
 }
 
 bool DietzOmScheme::IsAncestor(const Label& ancestor,

@@ -61,10 +61,9 @@ int DlnCodec::Compare(std::string_view a, std::string_view b) const {
   return DigitCompare(a, b);
 }
 
-bool DlnCodec::OrderKey(std::string_view code, std::string* out) const {
+void DlnCodec::OrderKey(std::string_view code, std::string* out) const {
   // DigitCompare is plain lexicographic order over the raw sub-values.
   out->append(code);
-  return true;
 }
 
 size_t DlnCodec::StorageBits(std::string_view code) const {

@@ -41,7 +41,7 @@ class DlnCodec final : public OrderCodec {
                                       std::string_view right,
                                       common::OpCounters* stats) const override;
   int Compare(std::string_view a, std::string_view b) const override;
-  bool OrderKey(std::string_view code, std::string* out) const override;
+  void OrderKey(std::string_view code, std::string* out) const override;
   size_t StorageBits(std::string_view code) const override;
   std::string Render(std::string_view code) const override;
 

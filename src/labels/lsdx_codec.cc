@@ -64,10 +64,9 @@ int LsdxCodec::Compare(std::string_view a, std::string_view b) const {
   return c < 0 ? -1 : (c > 0 ? 1 : 0);
 }
 
-bool LsdxCodec::OrderKey(std::string_view code, std::string* out) const {
+void LsdxCodec::OrderKey(std::string_view code, std::string* out) const {
   // Letter strings already compare lexicographically.
   out->append(code);
-  return true;
 }
 
 size_t LsdxCodec::StorageBits(std::string_view code) const {

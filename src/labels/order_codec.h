@@ -49,12 +49,9 @@ class OrderCodec {
 
   /// Appends to `*out` a byte string whose plain lexicographic order agrees
   /// with Compare(), with a proper byte-prefix sorting before its
-  /// extensions. Returns false when the codec has no such key (the
-  /// default); hosts then fall back to the virtual Compare.
-  virtual bool OrderKey(std::string_view /*code*/,
-                        std::string* /*out*/) const {
-    return false;
-  }
+  /// extensions. Every codec has one; a code that does not decode appends
+  /// nothing.
+  virtual void OrderKey(std::string_view code, std::string* out) const = 0;
 
   /// Storage cost of one code in bits under the scheme's own encoding
   /// (e.g. QED: 2 bits per quaternary number plus a 2-bit separator).

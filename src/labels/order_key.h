@@ -50,6 +50,32 @@ inline void AppendOrderedInt(int64_t v, std::string* out) {
   AppendBigEndian(static_cast<uint64_t>(v), n, out);
 }
 
+/// Appends an order key for the ratio p/q (q >= 1): floor(p * 2^128 / q),
+/// written as the integer part p/q (AppendOrderedUint) followed by the
+/// 128-bit fraction big-endian with its trailing zero bytes dropped.
+/// Two different ratios with denominators below 2^64 differ by more than
+/// 2^-128, so their scaled floors differ and the key is exact; equal
+/// ratios (1/2, 2/4) get one key. Dropped zeros make a shorter fraction a
+/// prefix of a longer one it is below, so memcmp order is ratio order,
+/// but the key is not prefix-free: wrap it in AppendOrderKeyComponent to
+/// concatenate. At most 9 + 16 = 25 bytes.
+inline void AppendRatioKey(uint64_t p, uint64_t q, std::string* out) {
+  AppendOrderedUint(p / q, out);
+  // Long division of the remainder r < q by q, 64 bits at a time.
+  const unsigned __int128 r = p % q;
+  const unsigned __int128 high_num = r << 64;
+  const uint64_t high = static_cast<uint64_t>(high_num / q);
+  const uint64_t low = static_cast<uint64_t>(((high_num % q) << 64) / q);
+  char fraction[16];
+  for (int i = 0; i < 8; ++i) {
+    fraction[i] = static_cast<char>(high >> (56 - 8 * i));
+    fraction[8 + i] = static_cast<char>(low >> (56 - 8 * i));
+  }
+  size_t n = sizeof(fraction);
+  while (n > 0 && fraction[n - 1] == '\0') --n;
+  out->append(fraction, n);
+}
+
 /// Appends one component key followed by a terminator, escaping embedded
 /// zero bytes (0x00 -> 0x00 0xFF, terminator 0x00 0x01). The encoding
 /// preserves lexicographic order per component and makes a label that is a

@@ -151,12 +151,11 @@ int OrdpathCodec::Compare(std::string_view a, std::string_view b) const {
   return ca.size() < cb.size() ? -1 : 1;
 }
 
-bool OrdpathCodec::OrderKey(std::string_view code, std::string* out) const {
+void OrdpathCodec::OrderKey(std::string_view code, std::string* out) const {
   // One compact signed key per component: the keys are prefix-free, so
   // memcmp over the concatenation reproduces the componentwise signed
   // comparison, with a shorter (caret-prefix) code sorting first.
   for (int64_t c : Unpack(code)) AppendOrderedInt(c, out);
-  return true;
 }
 
 size_t OrdpathCodec::StorageBits(std::string_view code) const {

@@ -220,7 +220,7 @@ int PrefixScheme::Compare(const Label& a, const Label& b) const {
   }
 }
 
-bool PrefixScheme::OrderKey(const Label& label, std::string* out) const {
+void PrefixScheme::OrderKey(const Label& label, std::string* out) const {
   // One escaped-and-terminated codec key per component: memcmp over the
   // concatenation walks the components exactly as Compare() does, and an
   // ancestor (component-prefix) sorts before its descendants.
@@ -229,10 +229,9 @@ bool PrefixScheme::OrderKey(const Label& label, std::string* out) const {
   std::string component_key;
   while (cursor.Next(&component)) {
     component_key.clear();
-    if (!codec_->OrderKey(component, &component_key)) return false;
+    codec_->OrderKey(component, &component_key);
     AppendOrderKeyComponent(component_key, out);
   }
-  return true;
 }
 
 bool PrefixScheme::IsAncestor(const Label& ancestor,

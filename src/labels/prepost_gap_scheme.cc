@@ -208,11 +208,10 @@ int PrePostGapScheme::Compare(const Label& a, const Label& b) const {
   return ra.pre < rb.pre ? -1 : (ra.pre > rb.pre ? 1 : 0);
 }
 
-bool PrePostGapScheme::OrderKey(const Label& label, std::string* out) const {
+void PrePostGapScheme::OrderKey(const Label& label, std::string* out) const {
   Ranks r;
-  if (!Decode(label, &r)) return false;
+  if (!Decode(label, &r)) return;
   AppendBigEndian(r.pre, 8, out);
-  return true;
 }
 
 bool PrePostGapScheme::IsAncestor(const Label& ancestor,

@@ -112,11 +112,10 @@ int PrePostScheme::Compare(const Label& a, const Label& b) const {
   return ra.pre < rb.pre ? -1 : (ra.pre > rb.pre ? 1 : 0);
 }
 
-bool PrePostScheme::OrderKey(const Label& label, std::string* out) const {
+void PrePostScheme::OrderKey(const Label& label, std::string* out) const {
   Ranks r;
-  if (!Decode(label, &r)) return false;
+  if (!Decode(label, &r)) return;
   AppendBigEndian(r.pre, 4, out);
-  return true;
 }
 
 bool PrePostScheme::IsAncestor(const Label& ancestor,

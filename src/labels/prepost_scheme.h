@@ -32,7 +32,7 @@ class PrePostScheme final : public LabelingScheme {
       const xml::Tree& tree, xml::NodeId node,
       const std::vector<Label>& labels) const override;
   int Compare(const Label& a, const Label& b) const override;
-  bool OrderKey(const Label& label, std::string* out) const override;
+  void OrderKey(const Label& label, std::string* out) const override;
   bool IsAncestor(const Label& ancestor, const Label& descendant) const override;
   bool IsParent(const Label& parent, const Label& child) const override;
   common::Result<int> Level(const Label& label) const override;

@@ -178,11 +178,10 @@ int PrimeScheme::Compare(const Label& a, const Label& b) const {
   return 0;
 }
 
-bool PrimeScheme::OrderKey(const Label& label, std::string* out) const {
+void PrimeScheme::OrderKey(const Label& label, std::string* out) const {
   Parts p;
-  if (!Decode(label, &p)) return false;
+  if (!Decode(label, &p)) return;
   AppendBigEndian(p.order_key, 8, out);
-  return true;
 }
 
 bool PrimeScheme::IsAncestor(const Label& ancestor,

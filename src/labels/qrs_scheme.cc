@@ -140,15 +140,14 @@ int QrsScheme::Compare(const Label& a, const Label& b) const {
   return 0;
 }
 
-bool QrsScheme::OrderKey(const Label& label, std::string* out) const {
+void QrsScheme::OrderKey(const Label& label, std::string* out) const {
   Interval iv;
-  // The bit pattern of a non-negative IEEE-754 double is order-preserving
-  // as an unsigned integer; negative bounds (never produced by this
-  // scheme) would break that, so fall back instead of risking a bad key.
-  if (!Decode(label, &iv) || iv.lo < 0.0 || iv.hi < 0.0) return false;
+  // Every interval nests inside the root's [1, 2], and the bit pattern of
+  // a non-negative IEEE-754 double is order-preserving as an unsigned
+  // integer.
+  if (!Decode(label, &iv)) return;
   AppendBigEndian(std::bit_cast<uint64_t>(iv.lo), 8, out);
   AppendBigEndian(~std::bit_cast<uint64_t>(iv.hi), 8, out);  // Ancestor first.
-  return true;
 }
 
 bool QrsScheme::IsAncestor(const Label& ancestor,

@@ -30,7 +30,7 @@ class QrsScheme final : public LabelingScheme {
       const xml::Tree& tree, xml::NodeId node,
       const std::vector<Label>& labels) const override;
   int Compare(const Label& a, const Label& b) const override;
-  bool OrderKey(const Label& label, std::string* out) const override;
+  void OrderKey(const Label& label, std::string* out) const override;
   bool IsAncestor(const Label& ancestor, const Label& descendant) const override;
   size_t StorageBits(const Label& label) const override;
   std::string Render(const Label& label) const override;

@@ -83,10 +83,9 @@ int QedCodec::Compare(std::string_view a, std::string_view b) const {
   return DigitCompare(a, b);
 }
 
-bool QedCodec::OrderKey(std::string_view code, std::string* out) const {
+void QedCodec::OrderKey(std::string_view code, std::string* out) const {
   // DigitCompare is plain lexicographic order over the raw digits.
   out->append(code);
-  return true;
 }
 
 size_t QedCodec::StorageBits(std::string_view code) const {
@@ -165,10 +164,9 @@ int CdqsCodec::Compare(std::string_view a, std::string_view b) const {
   return DigitCompare(a, b);
 }
 
-bool CdqsCodec::OrderKey(std::string_view code, std::string* out) const {
+void CdqsCodec::OrderKey(std::string_view code, std::string* out) const {
   // DigitCompare is plain lexicographic order over the raw digits.
   out->append(code);
-  return true;
 }
 
 size_t CdqsCodec::StorageBits(std::string_view code) const {

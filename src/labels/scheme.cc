@@ -24,11 +24,6 @@ std::string_view EncodingRepName(EncodingRep rep) {
   return "Unknown";
 }
 
-bool LabelingScheme::OrderKey(const Label& /*label*/,
-                              std::string* /*out*/) const {
-  return false;
-}
-
 bool LabelingScheme::IsParent(const Label& /*parent*/,
                               const Label& /*child*/) const {
   return false;

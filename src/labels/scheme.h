@@ -93,11 +93,10 @@ class LabelingScheme {
 
   /// Appends to `*out` a memcmp-comparable document-order key for `label`:
   /// plain lexicographic byte comparison of two keys agrees with Compare()
-  /// on the labels they were derived from. Returns false when the scheme
-  /// cannot derive such a key from the label alone (the default); callers
-  /// then fall back to rank keys computed once per document (see
-  /// core::LabeledDocument::order_key).
-  virtual bool OrderKey(const Label& label, std::string* out) const;
+  /// on the labels they were derived from. Every scheme derives its key
+  /// from the label alone (see core::LabeledDocument::order_key); a label
+  /// that does not decode appends nothing.
+  virtual void OrderKey(const Label& label, std::string* out) const = 0;
 
   /// Label-only ancestor-descendant test (supported by every surveyed
   /// scheme). A label is not its own ancestor.

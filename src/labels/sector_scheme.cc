@@ -155,12 +155,11 @@ int SectorScheme::Compare(const Label& a, const Label& b) const {
   return 0;
 }
 
-bool SectorScheme::OrderKey(const Label& label, std::string* out) const {
+void SectorScheme::OrderKey(const Label& label, std::string* out) const {
   Sector s;
-  if (!Decode(label, &s)) return false;
+  if (!Decode(label, &s)) return;
   AppendBigEndian(s.lo, 8, out);
   AppendBigEndian(~s.hi, 8, out);  // Descending: wider sector first.
-  return true;
 }
 
 bool SectorScheme::IsAncestor(const Label& ancestor,

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "common/varint.h"
+#include "labels/order_key.h"
 
 namespace xmlup::labels {
 
@@ -91,6 +92,12 @@ int VectorCodec::Compare(std::string_view a, std::string_view b) const {
   if (lhs < rhs) return -1;
   if (lhs > rhs) return 1;
   return 0;
+}
+
+void VectorCodec::OrderKey(std::string_view code, std::string* out) const {
+  uint64_t x = 0, y = 0;
+  if (!Unpack(code, &x, &y) || x == 0) return;
+  AppendRatioKey(y, x, out);
 }
 
 size_t VectorCodec::StorageBits(std::string_view code) const {

@@ -38,6 +38,11 @@ class VectorCodec final : public OrderCodec {
                                       std::string_view right,
                                       common::OpCounters* stats) const override;
   int Compare(std::string_view a, std::string_view b) const override;
+  /// The gradient y/x as a ratio key (AppendRatioKey): stored codes always
+  /// have x >= 1, since every code is a sum that includes the left bound
+  /// (1,0) or a code derived from it. The key's divisions build an
+  /// in-memory cache entry; labelling itself stays division-free.
+  void OrderKey(std::string_view code, std::string* out) const override;
   size_t StorageBits(std::string_view code) const override;
   std::string Render(std::string_view code) const override;
 

@@ -108,11 +108,10 @@ int XRelScheme::Compare(const Label& a, const Label& b) const {
   return ra.start < rb.start ? -1 : (ra.start > rb.start ? 1 : 0);
 }
 
-bool XRelScheme::OrderKey(const Label& label, std::string* out) const {
+void XRelScheme::OrderKey(const Label& label, std::string* out) const {
   Region r;
-  if (!Decode(label, &r)) return false;
+  if (!Decode(label, &r)) return;
   AppendBigEndian(r.start, 4, out);
-  return true;
 }
 
 bool XRelScheme::IsAncestor(const Label& ancestor,

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -30,7 +31,17 @@ namespace {
 constexpr int kSections = 4;
 constexpr int kItemsPerSection = 250;
 constexpr int kAppends = 10000;
-constexpr double kMaxBytesPerNode = 170.0;
+
+// ORDPATH and Dewey measure 156 B/node and are held to 170. The ratio-key
+// schemes are held to their measured bytes per node plus 10%: Vector 204
+// and vector-prefix 206.5, whose labels (over 31 bytes) spill out of
+// line, and DDE 156.
+double MaxBytesPerNode(const std::string& scheme) {
+  if (scheme == "vector") return 224.0;
+  if (scheme == "vector-prefix") return 227.0;
+  if (scheme == "dde") return 171.0;
+  return 170.0;
+}
 
 // Bytes the allocator has handed out and not had back: small chunks plus
 // mmap-ed blocks (large vectors).
@@ -96,13 +107,16 @@ TEST_P(DocMemoryTest, ViewCopyStaysWithinBytesPerNodeBudget) {
   std::printf("%s: %.1f heap bytes per node per view copy\n",
               GetParam().c_str(), per_node);
   RecordProperty("bytes_per_node", std::to_string(per_node));
-  EXPECT_LE(per_node, kMaxBytesPerNode);
+  EXPECT_LE(per_node, MaxBytesPerNode(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, DocMemoryTest,
-                         ::testing::Values("ordpath", "dewey"),
+                         ::testing::Values("ordpath", "dewey", "vector",
+                                           "vector-prefix", "dde"),
                          [](const ::testing::TestParamInfo<std::string>& info) {
-                           return info.param;
+                           std::string name = info.param;
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
                          });
 
 }  // namespace

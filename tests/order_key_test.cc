@@ -1,8 +1,8 @@
 // The order-key contract: for every registered scheme, and for every codec
 // behind a prefix host, plain byte comparison of two OrderKey outputs has
 // the sign of Compare on the labels (or codes) they came from. The compact
-// integer keys that ORDPATH and Dewey use are checked on their own first,
-// over the integer edge cases.
+// integer keys that ORDPATH and Dewey use, and the ratio keys that Vector
+// and DDE use, are checked on their own first, over their edge cases.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "core/labeled_document.h"
 #include "labels/binary_codec.h"
 #include "labels/dewey_codec.h"
@@ -30,6 +31,7 @@
 #include "labels/registry.h"
 #include "labels/vector_codec.h"
 #include "workload/document_generator.h"
+#include "xml/parser.h"
 
 namespace xmlup::labels {
 namespace {
@@ -160,27 +162,112 @@ TEST(CompactIntKeyTest, ConcatenatedSequencesOrderLexicographically) {
   }
 }
 
-// Checks every pair of `labels` and returns whether the scheme gave a key
-// for each. A scheme without keys may still answer for a label with
-// nothing to encode (a prefix host's root); one missing key sends the
-// document to rank keys, so only all-keyed label sets are compared.
-bool ExpectKeysOrderLikeCompare(const LabelingScheme& scheme,
+// A ratio p/q. CrossOrder compares two by 128-bit cross-multiplication,
+// the authority that Vector's and DDE's Compare use.
+struct Ratio {
+  uint64_t p;
+  uint64_t q;
+};
+
+int CrossOrder(Ratio a, Ratio b) {
+  return ValueOrder(static_cast<unsigned __int128>(a.p) * b.q,
+                    static_cast<unsigned __int128>(b.p) * a.q);
+}
+
+std::string RatioKey(Ratio r) {
+  std::string key;
+  AppendRatioKey(r.p, r.q, &key);
+  return key;
+}
+
+// Every adjacent Fibonacci pair below 2^64 both ways up (the ratios that
+// agree longest with their neighbours), the neighbours of UINT64_MAX,
+// integer ratios, zero, and equal ratios in several forms.
+std::vector<Ratio> RatioEdgeValues() {
+  std::vector<Ratio> out = {{0, 1},
+                            {0, 7},
+                            {0, UINT64_MAX},
+                            {1, 1},
+                            {2, 2},
+                            {UINT64_MAX, UINT64_MAX},
+                            {1, 2},
+                            {2, 4},
+                            {3, 6},
+                            {UINT64_MAX / 2, UINT64_MAX - 1},
+                            {2, 1},
+                            {6, 3},
+                            {255, 1},
+                            {256, 1},
+                            {UINT64_MAX, 1},
+                            {UINT64_MAX - 1, 1},
+                            {1, UINT64_MAX},
+                            {1, UINT64_MAX - 1},
+                            {UINT64_MAX, UINT64_MAX - 1},
+                            {UINT64_MAX - 1, UINT64_MAX - 2},
+                            {UINT64_MAX - 1, UINT64_MAX},
+                            {UINT64_MAX - 2, UINT64_MAX - 1}};
+  uint64_t a = 1, b = 1;
+  while (b <= UINT64_MAX - a) {
+    out.push_back({b, a});
+    out.push_back({a, b});
+    const uint64_t next = a + b;
+    a = b;
+    b = next;
+  }
+  out.push_back({b, a});
+  out.push_back({a, b});
+  return out;
+}
+
+TEST(RatioKeyTest, KeysOrderLikeCrossMultiplication) {
+  const std::vector<Ratio> ratios = RatioEdgeValues();
+  std::vector<std::string> keys;
+  std::vector<std::string> wrapped;
+  for (Ratio r : ratios) {
+    keys.push_back(RatioKey(r));
+    ASSERT_LE(keys.back().size(), 25u) << r.p << "/" << r.q;
+    wrapped.emplace_back();
+    AppendOrderKeyComponent(keys.back(), &wrapped.back());
+  }
+  for (size_t i = 0; i < ratios.size(); ++i) {
+    for (size_t j = 0; j < ratios.size(); ++j) {
+      const int expected = CrossOrder(ratios[i], ratios[j]);
+      ASSERT_EQ(KeyOrder(keys[i], keys[j]), expected)
+          << ratios[i].p << "/" << ratios[i].q << " vs " << ratios[j].p << "/"
+          << ratios[j].q;
+      ASSERT_EQ(KeyOrder(wrapped[i], wrapped[j]), expected)
+          << ratios[i].p << "/" << ratios[i].q << " vs " << ratios[j].p << "/"
+          << ratios[j].q << " wrapped";
+    }
+  }
+}
+
+TEST(RatioKeyTest, EqualRatiosShareOneKey) {
+  EXPECT_EQ(RatioKey({1, 2}), RatioKey({2, 4}));
+  EXPECT_EQ(RatioKey({1, 2}), RatioKey({3, 6}));
+  EXPECT_EQ(RatioKey({0, 1}), RatioKey({0, UINT64_MAX}));
+  EXPECT_EQ(RatioKey({5, 1}), RatioKey({10, 2}));
+  // An integer ratio is its integer key with no fraction bytes, and 1/2
+  // adds the single fraction byte 0x80.
+  EXPECT_EQ(RatioKey({5, 1}), CompactKey(uint64_t{5}));
+  EXPECT_EQ(RatioKey({1, 2}), std::string("\x80\x80"));
+  EXPECT_EQ(RatioKey({UINT64_MAX, 1}).size(), 9u);
+}
+
+// Checks the contract on every pair of `labels`.
+void ExpectKeysOrderLikeCompare(const LabelingScheme& scheme,
                                 const std::vector<Label>& labels) {
   std::vector<std::string> keys(labels.size());
   for (size_t i = 0; i < labels.size(); ++i) {
-    if (!scheme.OrderKey(labels[i], &keys[i])) return false;
+    scheme.OrderKey(labels[i], &keys[i]);
   }
   for (size_t i = 0; i < labels.size(); ++i) {
     for (size_t j = 0; j < labels.size(); ++j) {
-      if (KeyOrder(keys[i], keys[j]) !=
-          Sign(scheme.Compare(labels[i], labels[j]))) {
-        ADD_FAILURE() << scheme.Render(labels[i]) << " vs "
-                      << scheme.Render(labels[j]);
-        return true;
-      }
+      ASSERT_EQ(KeyOrder(keys[i], keys[j]),
+                Sign(scheme.Compare(labels[i], labels[j])))
+          << scheme.Render(labels[i]) << " vs " << scheme.Render(labels[j]);
     }
   }
-  return true;
 }
 
 // Labels of every live node after a chain of inserts at random positions:
@@ -225,13 +312,9 @@ class SchemeOrderKeyTest : public ::testing::TestWithParam<std::string> {};
 TEST_P(SchemeOrderKeyTest, KeysOrderLikeCompareAfterRandomInsertionChains) {
   auto scheme = CreateScheme(GetParam());
   ASSERT_TRUE(scheme.ok());
-  // Rational comparisons (cross-multiplication) have no memcmp key.
-  const bool expect_keys = GetParam() != "vector" &&
-                           GetParam() != "vector-prefix" && GetParam() != "dde";
   for (uint64_t seed : {3u, 11u}) {
-    EXPECT_EQ(ExpectKeysOrderLikeCompare(
-                  **scheme, RandomChainLabels(scheme->get(), seed)),
-              expect_keys);
+    ExpectKeysOrderLikeCompare(**scheme,
+                               RandomChainLabels(scheme->get(), seed));
   }
 }
 
@@ -256,6 +339,20 @@ SchemeTraits HostTraits(std::string_view codec) {
   SchemeTraits traits;
   traits.name = std::string(codec) + "-prefix";
   return traits;
+}
+
+// Checks the contract on every pair of `codes`.
+void ExpectCodecKeysOrderLikeCompare(const OrderCodec& codec,
+                                     const std::vector<std::string>& codes) {
+  std::vector<std::string> keys(codes.size());
+  for (size_t i = 0; i < codes.size(); ++i) codec.OrderKey(codes[i], &keys[i]);
+  for (size_t i = 0; i < codes.size(); ++i) {
+    for (size_t j = 0; j < codes.size(); ++j) {
+      ASSERT_EQ(KeyOrder(keys[i], keys[j]),
+                Sign(codec.Compare(codes[i], codes[j])))
+          << codec.Render(codes[i]) << " vs " << codec.Render(codes[j]);
+    }
+  }
 }
 
 // Codes from a chain of Between calls at random gaps, the ends included.
@@ -302,30 +399,14 @@ class CodecOrderKeyTest : public ::testing::TestWithParam<CodecCase> {};
 
 TEST_P(CodecOrderKeyTest, KeysOrderLikeCompareAlongRandomInsertionChains) {
   const std::unique_ptr<OrderCodec> codec = GetParam().make();
-  const std::vector<std::string> codes = RandomChainCodes(*codec, 29);
-  std::vector<std::string> keys(codes.size());
-  const bool native = codec->OrderKey(codes[0], &keys[0]);
-  for (size_t i = 0; i < codes.size(); ++i) {
-    keys[i].clear();
-    ASSERT_EQ(codec->OrderKey(codes[i], &keys[i]), native);
-  }
-  ASSERT_EQ(native, std::string_view(GetParam().name) != "vector");
-  if (!native) return;
-  for (size_t i = 0; i < codes.size(); ++i) {
-    for (size_t j = 0; j < codes.size(); ++j) {
-      ASSERT_EQ(KeyOrder(keys[i], keys[j]),
-                Sign(codec->Compare(codes[i], codes[j])))
-          << codec->Render(codes[i]) << " vs " << codec->Render(codes[j]);
-    }
-  }
+  ExpectCodecKeysOrderLikeCompare(*codec, RandomChainCodes(*codec, 29));
 }
 
 TEST_P(CodecOrderKeyTest, PrefixHostKeysOrderLikeCompare) {
   std::unique_ptr<OrderCodec> codec = GetParam().make();
   const std::vector<std::string> codes = RandomChainCodes(*codec, 31);
   PrefixScheme host(HostTraits(GetParam().name), std::move(codec));
-  EXPECT_EQ(ExpectKeysOrderLikeCompare(host, RandomPrefixLabels(codes, 37)),
-            std::string_view(GetParam().name) != "vector");
+  ExpectKeysOrderLikeCompare(host, RandomPrefixLabels(codes, 37));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -362,8 +443,7 @@ TEST(OrderKeyEdgeTest, OrdpathEdgeComponentsThroughThePrefixHost) {
   }
   auto scheme = CreateScheme("ordpath");
   ASSERT_TRUE(scheme.ok());
-  EXPECT_TRUE(ExpectKeysOrderLikeCompare(**scheme,
-                                         RandomPrefixLabels(codes, 41)));
+  ExpectKeysOrderLikeCompare(**scheme, RandomPrefixLabels(codes, 41));
 }
 
 TEST(OrderKeyEdgeTest, DeweyEdgeValuesThroughThePrefixHost) {
@@ -374,8 +454,68 @@ TEST(OrderKeyEdgeTest, DeweyEdgeValuesThroughThePrefixHost) {
   }
   auto scheme = CreateScheme("dewey");
   ASSERT_TRUE(scheme.ok());
-  EXPECT_TRUE(ExpectKeysOrderLikeCompare(**scheme,
-                                         RandomPrefixLabels(codes, 43)));
+  ExpectKeysOrderLikeCompare(**scheme, RandomPrefixLabels(codes, 43));
+}
+
+// Bisection that alternates sides, each new code between the previous
+// two: Vector's components grow like Fibonacci numbers, the fastest way
+// to its 64-bit overflow. Every code up to that point keeps the contract,
+// bare and behind a prefix host.
+TEST(OrderKeyEdgeTest, VectorBisectionUntilOverflow) {
+  VectorCodec codec;
+  std::vector<std::string> codes;
+  ASSERT_TRUE(codec.InitialCodes(2, &codes, nullptr).ok());
+  std::string left = codes[0], right = codes[1];
+  for (bool go_left = true;; go_left = !go_left) {
+    auto mid = codec.Between(left, right, nullptr);
+    if (!mid.ok()) {
+      ASSERT_EQ(mid.status().code(), common::StatusCode::kOverflow);
+      break;
+    }
+    codes.push_back(*mid);
+    (go_left ? right : left) = *mid;
+  }
+  ASSERT_GT(codes.size(), 80u);
+  ExpectCodecKeysOrderLikeCompare(codec, codes);
+  PrefixScheme host(HostTraits("vector"), std::make_unique<VectorCodec>());
+  ExpectKeysOrderLikeCompare(host, RandomPrefixLabels(codes, 47));
+}
+
+// The same alternating bisection between DDE siblings, each new sibling
+// also given a child (one more component over the same large u[0]), run
+// until the mediant overflows and forces a relabel. Every label assigned
+// before that keeps the contract.
+TEST(OrderKeyEdgeTest, DdeBisectionUntilOverflow) {
+  auto scheme = CreateScheme("dde");
+  ASSERT_TRUE(scheme.ok());
+  auto tree = xml::ParseDocument("<r><a/><b/></r>");
+  ASSERT_TRUE(tree.ok());
+  auto doc = core::LabeledDocument::Build(std::move(*tree), scheme->get());
+  ASSERT_TRUE(doc.ok());
+  const xml::NodeId root = doc->tree().root();
+  std::vector<Label> labels;
+  for (xml::NodeId n : doc->tree().PreorderNodes()) {
+    labels.push_back(doc->label(n));
+  }
+  xml::NodeId left = doc->tree().first_child(root);
+  xml::NodeId right = doc->tree().next_sibling(left);
+  bool overflowed = false;
+  for (bool go_left = true; !overflowed; go_left = !go_left) {
+    core::UpdateStats stats;
+    auto mid =
+        doc->InsertNode(root, xml::NodeKind::kElement, "m", "", right, &stats);
+    ASSERT_TRUE(mid.ok()) << mid.status().ToString();
+    overflowed = stats.overflow;
+    if (overflowed) break;
+    labels.push_back(doc->label(*mid));
+    auto child = doc->InsertNode(*mid, xml::NodeKind::kElement, "c", "",
+                                 xml::kInvalidNode, &stats);
+    ASSERT_TRUE(child.ok() && !stats.overflow);
+    labels.push_back(doc->label(*child));
+    (go_left ? right : left) = *mid;
+  }
+  ASSERT_GT(labels.size(), 160u);
+  ExpectKeysOrderLikeCompare(**scheme, labels);
 }
 
 }  // namespace

@@ -104,7 +104,6 @@ usage:
   xmlup damage <dir> --truncate <n> | --flip <byte>[:<bit>]
       deliberately tear or corrupt the live journal (crash simulation)
   xmlup serve <dir> --socket <path> | --tcp <host:port> | --stdio
-              [--queue <n>] [--batch <n>]
       serve the store to concurrent clients: snapshot-isolated reads,
       single-writer group commit; requests use the wire protocol
       (length-prefixed action/query frames — see `xmlup req`); a
@@ -297,9 +296,9 @@ int CmdApply(int argc, char** argv);  // defined after the req helpers
 
 // --- serve / req ----------------------------------------------------------
 
-// Strict positive-count parser for --queue/--batch/--threads/...:
-// strtoull's 0-on-junk would otherwise turn a typo into a queue no
-// request can ever enter (or a batch size the writer can never drain).
+// Strict positive-count parser for --threads/--ops/--epoch/...: strtoull's
+// 0-on-junk would otherwise turn a typo into a silent zero (a run of no
+// workers, no operations or no time).
 bool ParseCountFor(const char* cmd, const char* flag, const char* text,
                    size_t* out) {
   char* end = nullptr;
@@ -356,12 +355,10 @@ int CmdServe(int argc, char** argv) {
       replicate_from = argv[++i];
     } else if (arg == "--replicate-doc" && i + 1 < argc) {
       replicate_doc = argv[++i];
-    } else if (arg == "--queue" && i + 1 < argc) {
-      if (!ParseCountFor("serve", "--queue", argv[++i], &options.queue_capacity)) return 2;
-    } else if (arg == "--batch" && i + 1 < argc) {
-      if (!ParseCountFor("serve", "--batch", argv[++i], &options.max_batch)) return 2;
     } else {
-      return Usage();
+      std::fprintf(stderr, "xmlup serve: unexpected argument '%s'\n",
+                   arg.c_str());
+      return 2;
     }
   }
   if ((socket_path.empty() ? 0 : 1) + (tcp_spec.empty() ? 0 : 1) +
@@ -544,6 +541,25 @@ bool ParseEndpointFlags(const char* cmd, const std::string& socket_path,
   return true;
 }
 
+// Sends `request` to `endpoint` and prints the reply: after an `ok` head,
+// its fields on stdout, one a line (exit 0); after any other head, the
+// error text on stderr (exit 1).
+int RequestAndPrint(const char* cmd, const std::string& endpoint,
+                    const std::vector<std::string>& request) {
+  auto response = concurrency::EndpointRequest(endpoint, request);
+  if (!response.ok()) return Fail(response.status());
+  if (response->empty() || (*response)[0] != "ok") {
+    std::fprintf(stderr, "xmlup %s: %s\n", cmd,
+                 response->size() > 1 ? (*response)[1].c_str()
+                                      : "malformed reply");
+    return 1;
+  }
+  for (size_t i = 1; i < response->size(); ++i) {
+    std::printf("%s\n", (*response)[i].c_str());
+  }
+  return 0;
+}
+
 int CmdReq(int argc, char** argv) {
   std::string socket_path;
   std::string tcp_spec;
@@ -561,18 +577,7 @@ int CmdReq(int argc, char** argv) {
   std::string endpoint;
   if (!ParseEndpointFlags("req", socket_path, tcp_spec, &endpoint)) return 2;
   if (request.empty()) return Usage();
-  auto response = concurrency::EndpointRequest(endpoint, request);
-  if (!response.ok()) return Fail(response.status());
-  if (response->empty() || (*response)[0] == "err") {
-    std::fprintf(stderr, "xmlup req: %s\n",
-                 response->size() > 1 ? (*response)[1].c_str()
-                                      : "malformed reply");
-    return 1;
-  }
-  for (size_t i = 1; i < response->size(); ++i) {
-    std::printf("%s\n", (*response)[i].c_str());
-  }
-  return 0;
+  return RequestAndPrint("req", endpoint, request);
 }
 
 // `xmlup apply`: compile an update-script file and run it as one
@@ -655,18 +660,7 @@ int CmdApply(int argc, char** argv) {
   }
   request.push_back("--apply");
   request.push_back(*text);  // the server compiles its own copy
-  auto response = concurrency::EndpointRequest(endpoint, request);
-  if (!response.ok()) return Fail(response.status());
-  if (response->empty() || (*response)[0] != "ok") {
-    std::fprintf(stderr, "xmlup apply: %s\n",
-                 response->size() > 1 ? (*response)[1].c_str()
-                                      : "malformed reply");
-    return 1;
-  }
-  for (size_t i = 1; i < response->size(); ++i) {
-    std::printf("%s\n", (*response)[i].c_str());
-  }
-  return 0;
+  return RequestAndPrint("apply", endpoint, request);
 }
 
 // Sugar for `req ... <verb>`: the same wire verb, a memorable name.
@@ -688,18 +682,7 @@ int CmdStatusVerb(const char* cmd, const char* verb, int argc, char** argv) {
   }
   std::string endpoint;
   if (!ParseEndpointFlags(cmd, socket_path, tcp_spec, &endpoint)) return 2;
-  auto response = concurrency::EndpointRequest(endpoint, {verb});
-  if (!response.ok()) return Fail(response.status());
-  if (response->empty() || (*response)[0] != "ok") {
-    std::fprintf(stderr, "xmlup %s: %s\n", cmd,
-                 response->size() > 1 ? (*response)[1].c_str()
-                                      : "malformed reply");
-    return 1;
-  }
-  for (size_t i = 1; i < response->size(); ++i) {
-    std::printf("%s\n", (*response)[i].c_str());
-  }
-  return 0;
+  return RequestAndPrint(cmd, endpoint, {verb});
 }
 
 // --- promote ----------------------------------------------------------------
@@ -739,18 +722,7 @@ int CmdPromote(int argc, char** argv) {
   if (!doc_key.empty()) request = {"--doc", doc_key};
   request.push_back("--promote");
   if (!epoch_text.empty()) request.push_back(epoch_text);
-  auto response = concurrency::EndpointRequest(endpoint, request);
-  if (!response.ok()) return Fail(response.status());
-  if (response->empty() || (*response)[0] != "ok") {
-    std::fprintf(stderr, "xmlup promote: %s\n",
-                 response->size() > 1 ? (*response)[1].c_str()
-                                      : "malformed reply");
-    return 1;
-  }
-  for (size_t i = 1; i < response->size(); ++i) {
-    std::printf("%s\n", (*response)[i].c_str());
-  }
-  return 0;
+  return RequestAndPrint("promote", endpoint, request);
 }
 
 // --- route ------------------------------------------------------------------
